@@ -4,71 +4,95 @@
 //! The two-thread daemon in [`crate::daemon`] spends a socket, two
 //! threads and a mutex per node — fine for a handful of real hosts,
 //! hopeless for a single-host soak of the protocol at cluster scale. This
-//! module keeps the part that matters (every protocol message is a real
-//! datagram through the kernel's UDP stack) and multiplexes everything
+//! module keeps the part that matters (every protocol message crosses the
+//! kernel's UDP stack inside a real datagram) and multiplexes everything
 //! else: one reactor thread owns every engine outright (no locks), all
 //! traffic flows from one shared `tx` socket to one shared `rx` socket,
-//! and a fixed 8-byte frame header carries the logical addressing the
-//! shared sockets no longer can:
+//! and a small frame header carries the logical addressing the shared
+//! sockets no longer can. Several frames share one datagram:
 //!
 //! ```text
-//! frame: [dst: u32 LE][src: u32 LE][WireMsg bytes]
+//! datagram: frame frame frame …                     (≤ BATCH_CAP bytes)
+//! frame:    [len: u8][dst: u32 LE][src: u32 LE][WireMsg bytes]
+//!           len = bytes after the length byte (8 + WireMsg length)
 //! ```
 //!
-//! The reactor dispatches each received frame to the engine named by
-//! `dst`, exactly as the per-node daemon's net thread dispatches by
-//! socket. Grants are handled asynchronously — a requester's engine is
-//! never blocked waiting; the grant arrives as a normal
-//! [`EngineInput::Msg`] in a later pump of the same round — which is what
-//! lets one thread sustain 10⁴ nodes.
+//! Frames are appended to one reusable tx batch, and the batch goes to
+//! the kernel as one datagram at two flush points: when a drain needs the
+//! wire (before every receive, so the global FIFO order is the local rx
+//! cursor, then the kernel queue, then the pending batch), and when the
+//! next frame could cross `BATCH_CAP` (16 KiB). The receiver keeps a
+//! cursor into the last datagram it received and dispatches its frames
+//! one at a time, each to the engine named by `dst`, exactly as the
+//! per-node daemon's net thread dispatches by socket. Grants are handled asynchronously — a
+//! requester's engine is never blocked waiting; the grant arrives as a
+//! normal [`EngineInput::Msg`] in a later pump of the same round — which
+//! is what lets one thread sustain 10⁴ nodes.
 //!
 //! Time is hybrid: the protocol clock is virtual (round `p` runs at
 //! `p × period`, so escrow deadlines and request timeouts behave exactly
 //! as on the lockstep runtime), while grant round-trip *latency* is
-//! measured on the wall clock from the moment a request frame enters the
-//! kernel to the moment the engine reports the round-trip
+//! measured on the wall clock from the moment a request frame is queued
+//! to the moment the engine reports the round-trip
 //! [`EngineOutput::Resolved`] — the tail-latency distribution the soak
 //! harness reports.
 //!
-//! Loss injection reuses the [`DatagramSocket`] seam: wrap the `tx`
-//! socket in a `penelope_net::FaultySocket` (see [`MuxConfig::fault`])
-//! and injected drops surface as [`SendStatus::Dropped`], feeding the
-//! same `delivered = false` escrow path as the per-node daemon. The
-//! kernel can also drop on receive-buffer overflow; the reactor prevents
-//! that by capping in-flight frames and draining between send batches,
-//! and counts anything that still vanishes as `wire_lost`.
+//! Loss injection is decided per frame, not per datagram: each frame's
+//! fate (drop, delay, duplicate) is drawn when it is queued, from
+//! `DirectionPlan::new(fault, 0)` — the same stream, in the same draw
+//! order, that a `penelope_net::FaultySocket` gives the first peer it
+//! registers (see [`MuxConfig::fault`]). An injected drop feeds the same
+//! `delivered = false` escrow path as the per-node daemon; a delayed copy
+//! is parked until its due instant and joins the first batch flushed
+//! after it. The kernel can also drop on receive-buffer overflow; the
+//! reactor prevents that by capping in-flight frames and draining between
+//! send batches, and counts anything that still vanishes as `wire_lost`.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::io;
-use std::net::UdpSocket;
-use std::sync::Arc;
+use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
 use penelope_core::{
     EngineConfig, EngineInput, EngineOutput, GrantAck, NodeEngine, NodeParams, PeerMsg, PowerGrant,
     PowerRequest,
 };
-use penelope_net::shim::{DatagramSocket, FaultConfig, FaultySocket, SendStatus};
+use penelope_net::shim::{DirectionPlan, FaultConfig};
 use penelope_testkit::rng::{node_stream, TestRng};
 use penelope_trace::SharedObserver;
 use penelope_units::{NodeId, Power, SimDuration, SimTime};
 
 use crate::wire::{WireMsg, MAX_WIRE_LEN};
 
-/// Frame header: destination node id then source node id, both `u32` LE.
-const FRAME_HDR: usize = 8;
+/// Frame addressing: destination node id then source node id, both
+/// `u32` LE.
+const FRAME_ADDR: usize = 8;
+
+/// Longest frame: the length byte, the addressing and the largest wire
+/// message.
+const MAX_FRAME: usize = 1 + FRAME_ADDR + MAX_WIRE_LEN;
+
+// A frame's length byte must be able to describe every frame.
+const _: () = assert!(MAX_FRAME - 1 <= u8::MAX as usize);
+
+/// Byte cap on one batch datagram. The tx batch is flushed before the
+/// next frame could cross it, and the receive buffer has the same size,
+/// so no batch is ever truncated on arrival.
+const BATCH_CAP: usize = 16 * 1024;
 
 /// In-flight frames above this trigger a drain before further sends —
-/// comfortably below the kernel's default receive-buffer capacity (a few
-/// thousand small datagrams), so the reactor itself never overflows it.
+/// comfortably below what the kernel's default receive buffer holds, so
+/// the reactor itself never overflows it.
 const DRAIN_HIGH: usize = 192;
 
 /// Drains triggered by [`DRAIN_HIGH`] pull the backlog down to here.
 const DRAIN_LOW: usize = 64;
 
 /// Consecutive empty receive timeouts before outstanding frames are
-/// written off as lost on the wire (kernel drop despite the backpressure,
-/// or a shim-delayed packet still queued).
+/// written off as lost on the wire (kernel drop despite the
+/// backpressure). Timeouts while a delayed copy is still parked do not
+/// count: that frame has not reached the wire yet.
 const DRAIN_PATIENCE: u32 = 10;
 
 /// Configuration for a multiplexed cluster.
@@ -87,8 +111,9 @@ pub struct MuxConfig {
     pub demands: Vec<Power>,
     /// Decision rounds to run.
     pub rounds: u64,
-    /// Optional deterministic fault plane wrapped around the shared `tx`
-    /// socket. `None` = lossless passthrough.
+    /// Optional deterministic fault plane: every frame's fate is drawn
+    /// from `DirectionPlan::new(fault, 0)` as it is queued. `None` =
+    /// lossless.
     pub fault: Option<FaultConfig>,
 }
 
@@ -139,16 +164,24 @@ pub struct MuxSummary {
     pub nodes: usize,
     /// Rounds executed.
     pub rounds: u64,
-    /// Frames the kernel accepted for delivery.
+    /// Frames queued for the wire (originals; the extra copies the fault
+    /// plane injects are counted in [`duplicated`](Self::duplicated)).
     pub frames_sent: u64,
-    /// Frames received and dispatched to an engine.
+    /// Frames received and dispatched to an engine (every copy).
     pub frames_delivered: u64,
-    /// Frames the fault shim dropped before the kernel saw them.
+    /// Frames the fault plane dropped before the kernel saw them.
     pub injected_drops: u64,
-    /// Frames the kernel accepted but never delivered (receive-buffer
-    /// overflow under extreme pressure). Zero in a healthy run.
+    /// Extra frame copies the fault plane injected.
+    pub duplicated: u64,
+    /// Batch datagrams handed to the kernel; `frames_sent / datagrams_sent`
+    /// is the batching factor.
+    pub datagrams_sent: u64,
+    /// Frames sent but never delivered: kernel receive-buffer overflow
+    /// under extreme pressure, or a batch whose send failed. Zero in a
+    /// healthy run.
     pub wire_lost: u64,
-    /// OS-level send errors (distinct from injected drops).
+    /// Frames in batches the OS refused to send (distinct from injected
+    /// drops; also counted in `wire_lost`).
     pub send_failed: u64,
     /// Engine inputs processed (ticks, messages, outcomes, sweeps) — the
     /// throughput numerator for the BENCH report.
@@ -204,29 +237,55 @@ fn percentile_ns(sorted: &[u64], q: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// Encode one frame: header plus wire message.
-fn frame(dst: NodeId, src: NodeId, msg: &WireMsg) -> Vec<u8> {
-    let body = msg.encode();
-    let mut buf = Vec::with_capacity(FRAME_HDR + body.len());
+/// Append one frame to `buf`: length byte, addressing, wire message.
+fn push_frame(buf: &mut Vec<u8>, dst: NodeId, src: NodeId, msg: &WireMsg) {
+    let at = buf.len();
+    buf.push(0);
     buf.extend_from_slice(&dst.raw().to_le_bytes());
     buf.extend_from_slice(&src.raw().to_le_bytes());
-    buf.extend_from_slice(&body);
-    buf
+    msg.encode_into(buf);
+    // Fits: `MAX_FRAME - 1 <= u8::MAX` is checked at compile time.
+    buf[at] = (buf.len() - at - 1) as u8;
 }
 
-/// Decode a frame header + body; `None` for runts or garbage bodies.
+/// Decode a frame's addressing + body; `None` for runts or garbage bodies.
 fn deframe(buf: &[u8]) -> Option<(NodeId, NodeId, WireMsg)> {
-    if buf.len() < FRAME_HDR {
+    if buf.len() < FRAME_ADDR {
         return None;
     }
     let dst = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes"));
     let src = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
-    let msg = WireMsg::decode(&buf[FRAME_HDR..]).ok()?;
+    let msg = WireMsg::decode(&buf[FRAME_ADDR..]).ok()?;
     Some((NodeId::new(dst), NodeId::new(src), msg))
 }
 
-/// The reactor state: every engine, both shared sockets, and the run's
-/// counters. One instance per run, owned by the calling thread.
+/// Take the next well-formed frame from a received datagram, advancing
+/// `pos` past it. A frame whose body does not decode is skipped. A length
+/// byte that cannot be right — too short for the addressing, longer than
+/// any frame, or running past the datagram — ends the datagram, because
+/// nothing after it can be framed.
+fn next_frame(buf: &[u8], pos: &mut usize) -> Option<(NodeId, NodeId, WireMsg)> {
+    while let Some(&len) = buf.get(*pos) {
+        let len = usize::from(len);
+        let start = *pos + 1;
+        let body = match buf.get(start..start + len) {
+            Some(body) if (FRAME_ADDR..MAX_FRAME).contains(&len) => body,
+            _ => {
+                *pos = buf.len();
+                return None;
+            }
+        };
+        *pos = start + len;
+        if let Some(frame) = deframe(body) {
+            return Some(frame);
+        }
+    }
+    None
+}
+
+/// The reactor state: every engine, both shared sockets, the tx batch,
+/// the rx cursor and the run's counters. One instance per run, owned by
+/// the calling thread.
 struct Mux {
     engines: Vec<NodeEngine>,
     rngs: Vec<TestRng>,
@@ -234,10 +293,25 @@ struct Mux {
     /// `min(demand, cap)`.
     caps: Vec<Power>,
     demands: Vec<Power>,
-    tx: Arc<dyn DatagramSocket>,
+    tx: UdpSocket,
+    tx_addr: SocketAddr,
     rx: UdpSocket,
-    rx_addr: std::net::SocketAddr,
-    /// Frames accepted by the kernel and not yet received back.
+    rx_addr: SocketAddr,
+    /// Per-frame fault fates; `None` when the run is lossless.
+    fates: Option<DirectionPlan>,
+    /// Frames queued for the next datagram, back to back.
+    batch: Vec<u8>,
+    batch_frames: usize,
+    /// Delayed copies waiting for their due instant: (due, enqueue order,
+    /// encoded frame), earliest first.
+    parked: BinaryHeap<Reverse<(Instant, u64, Vec<u8>)>>,
+    parked_stamp: u64,
+    /// The last datagram received; frames before `rx_pos` are dispatched.
+    rx_buf: Box<[u8]>,
+    rx_len: usize,
+    rx_pos: usize,
+    /// Frames queued, parked, in the kernel or under the rx cursor, and
+    /// not yet dispatched — every copy counts.
     outstanding: usize,
     /// Wall-clock send stamp per open request, keyed (requester, seq).
     pending_rtt: HashMap<(u32, u64), Instant>,
@@ -246,6 +320,8 @@ struct Mux {
     frames_sent: u64,
     frames_delivered: u64,
     injected_drops: u64,
+    duplicated: u64,
+    datagrams_sent: u64,
     wire_lost: u64,
     send_failed: u64,
     events: u64,
@@ -258,17 +334,8 @@ impl Mux {
         let rx = UdpSocket::bind("127.0.0.1:0")?;
         rx.set_read_timeout(Some(Duration::from_millis(3)))?;
         let rx_addr = rx.local_addr()?;
-        let tx_socket = UdpSocket::bind("127.0.0.1:0")?;
-        let tx: Arc<dyn DatagramSocket> = match &cfg.fault {
-            None => Arc::new(tx_socket),
-            Some(fault) => {
-                let shim = FaultySocket::new(tx_socket, fault.clone());
-                // The shared inbox is the only destination; it takes
-                // direction slot 0 of the fault plan.
-                shim.register_peer(rx_addr);
-                Arc::new(shim)
-            }
-        };
+        let tx = UdpSocket::bind("127.0.0.1:0")?;
+        let tx_addr = tx.local_addr()?;
         let engines = (0..cfg.nodes)
             .map(|i| {
                 NodeEngine::new(
@@ -291,14 +358,26 @@ impl Mux {
                 .map(|i| cfg.demands[i % cfg.demands.len()])
                 .collect(),
             tx,
+            tx_addr,
             rx,
             rx_addr,
+            // The shared inbox is the only destination: direction slot 0.
+            fates: cfg.fault.as_ref().map(|f| DirectionPlan::new(f, 0)),
+            batch: Vec::with_capacity(BATCH_CAP),
+            batch_frames: 0,
+            parked: BinaryHeap::new(),
+            parked_stamp: 0,
+            rx_buf: vec![0; BATCH_CAP].into_boxed_slice(),
+            rx_len: 0,
+            rx_pos: 0,
             outstanding: 0,
             pending_rtt: HashMap::new(),
             scratch: Vec::new(),
             frames_sent: 0,
             frames_delivered: 0,
             injected_drops: 0,
+            duplicated: 0,
+            datagrams_sent: 0,
             wire_lost: 0,
             send_failed: 0,
             events: 0,
@@ -307,29 +386,88 @@ impl Mux {
         })
     }
 
-    /// Send one frame through the shared socket, returning whether the
-    /// kernel took it (an injected drop or OS error returns `false`).
+    /// Draw one frame's fate and queue it (and any duplicate copy) for
+    /// the shared socket. Returns whether it will reach the wire: `false`
+    /// only for an injected drop, so the answer is exact at once.
     fn send_frame(&mut self, dst: NodeId, src: NodeId, msg: &WireMsg) -> bool {
-        match self.tx.send_to(&frame(dst, src, msg), self.rx_addr) {
-            Ok(SendStatus::Sent) => {
-                self.frames_sent += 1;
-                self.outstanding += 1;
-                true
-            }
-            Ok(SendStatus::Dropped) => {
+        let (delay_ns, dup_delay_ns) = match self.fates.as_mut().map(DirectionPlan::next_fate) {
+            None => (0, None),
+            Some(fate) if fate.drop => {
                 self.injected_drops += 1;
-                false
+                return false;
             }
-            Err(_) => {
-                self.send_failed += 1;
-                false
-            }
+            Some(fate) => (fate.delay_ns, fate.dup_delay_ns),
+        };
+        self.frames_sent += 1;
+        self.enqueue(dst, src, msg, delay_ns);
+        if let Some(delay_ns) = dup_delay_ns {
+            self.duplicated += 1;
+            self.enqueue(dst, src, msg, delay_ns);
+        }
+        true
+    }
+
+    /// Append one copy to the tx batch, or park it for `delay_ns`.
+    fn enqueue(&mut self, dst: NodeId, src: NodeId, msg: &WireMsg, delay_ns: u64) {
+        self.outstanding += 1;
+        if delay_ns == 0 {
+            self.make_room();
+            push_frame(&mut self.batch, dst, src, msg);
+            self.batch_frames += 1;
+        } else {
+            let mut frame = Vec::with_capacity(MAX_FRAME);
+            push_frame(&mut frame, dst, src, msg);
+            let due = Instant::now() + Duration::from_nanos(delay_ns);
+            self.parked_stamp += 1;
+            self.parked.push(Reverse((due, self.parked_stamp, frame)));
         }
     }
 
+    /// Send the batch first if one more frame could cross [`BATCH_CAP`].
+    fn make_room(&mut self) {
+        if self.batch.len() + MAX_FRAME > BATCH_CAP {
+            self.send_batch();
+        }
+    }
+
+    /// Move every parked copy that is now due into the batch, then send
+    /// the batch.
+    fn flush(&mut self) {
+        if !self.parked.is_empty() {
+            let now = Instant::now();
+            while self.parked.peek().is_some_and(|Reverse(p)| p.0 <= now) {
+                let Reverse((_, _, frame)) = self.parked.pop().expect("peeked");
+                self.make_room();
+                self.batch.extend_from_slice(&frame);
+                self.batch_frames += 1;
+            }
+        }
+        self.send_batch();
+    }
+
+    /// Hand the batch to the kernel as one datagram. Its frames were
+    /// already reported sent, so a refused send books them as lost on the
+    /// wire — conservation then holds as `≤ budget`, never by minting.
+    fn send_batch(&mut self) {
+        if self.batch_frames == 0 {
+            return;
+        }
+        match self.tx.send_to(&self.batch, self.rx_addr) {
+            Ok(_) => self.datagrams_sent += 1,
+            Err(_) => {
+                let n = self.batch_frames;
+                self.send_failed += n as u64;
+                self.wire_lost += n as u64;
+                self.outstanding -= n;
+            }
+        }
+        self.batch.clear();
+        self.batch_frames = 0;
+    }
+
     /// Feed one input to engine `i` and execute every resulting output —
-    /// sends inline (so `GrantOutcome` feedback is synchronous, as the
-    /// engine contract requires), cap actuations into the reading model,
+    /// sends queued inline (so `GrantOutcome` feedback is synchronous, as
+    /// the engine contract requires), cap actuations into the reading model,
     /// round trips into the RTT ledger.
     fn drive(&mut self, i: usize, now: SimTime, input: EngineInput) {
         self.events += 1;
@@ -356,10 +494,11 @@ impl Mux {
                         from: Some(me),
                         bid: req.bid,
                     };
-                    // Stamp before the syscall so the sample covers the
-                    // full kernel round trip. A dropped request still
-                    // opens the engine's wait window — its stamp dies
-                    // unresolved, exactly like the timeout it causes.
+                    // Stamp at queue time so the sample covers the batch
+                    // wait and the full kernel round trip. A dropped
+                    // request still opens the engine's wait window — its
+                    // stamp dies unresolved, exactly like the timeout it
+                    // causes.
                     self.pending_rtt.insert((me.raw(), req.seq), Instant::now());
                     self.send_frame(dst, me, &wire);
                 }
@@ -431,14 +570,7 @@ impl Mux {
     }
 
     /// Dispatch one received frame to its destination engine.
-    fn dispatch(&mut self, buf: &[u8], now: SimTime) {
-        let Some((dst, src, msg)) = deframe(buf) else {
-            return; // garbage datagram: drop, like the per-node daemon
-        };
-        let i = dst.index();
-        if i >= self.engines.len() {
-            return;
-        }
+    fn dispatch(&mut self, dst: NodeId, src: NodeId, msg: WireMsg, now: SimTime) {
         self.frames_delivered += 1;
         let peer_msg = match msg {
             WireMsg::Request {
@@ -461,37 +593,44 @@ impl Mux {
             } => PeerMsg::Grant(PowerGrant { amount, seq }, digest),
             WireMsg::Ack { seq, digest } => PeerMsg::Ack(GrantAck { seq }, digest),
         };
-        self.drive(i, now, EngineInput::Msg { src, msg: peer_msg });
+        self.drive(dst.index(), now, EngineInput::Msg { src, msg: peer_msg });
     }
 
     /// Receive and dispatch until at most `low` frames remain in flight
     /// (dispatching may send more — grant and ack cascades — so the
-    /// target is a backlog level, not a message count). Gives up after
+    /// target is a backlog level, not a message count). Frames come off
+    /// the rx cursor one at a time; when it is spent, the pending batch is
+    /// flushed and the next datagram received. Gives up after
     /// [`DRAIN_PATIENCE`] consecutive empty timeouts and writes the
     /// remainder off as lost on the wire.
     fn drain_to(&mut self, low: usize, now: SimTime) {
-        let mut buf = [0u8; FRAME_HDR + MAX_WIRE_LEN];
         let mut empty_reads = 0u32;
         while self.outstanding > low {
-            match self.rx.recv_from(&mut buf) {
-                Ok((len, _)) => {
-                    empty_reads = 0;
+            if let Some((dst, src, msg)) = next_frame(&self.rx_buf[..self.rx_len], &mut self.rx_pos)
+            {
+                // A frame for no hosted engine stays outstanding, so it
+                // is eventually booked as lost rather than delivered.
+                if dst.index() < self.engines.len() {
                     self.outstanding -= 1;
-                    self.dispatch(&buf[..len], now);
+                    self.dispatch(dst, src, msg, now);
                 }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    empty_reads += 1;
-                    if empty_reads >= DRAIN_PATIENCE {
-                        self.wire_lost += self.outstanding as u64;
-                        self.outstanding = 0;
-                        return;
-                    }
+                continue;
+            }
+            self.flush();
+            self.rx_pos = 0;
+            self.rx_len = 0;
+            match self.rx.recv_from(&mut self.rx_buf) {
+                // Only the shared tx socket speaks to this inbox; a
+                // stranger's datagram is ignored whole.
+                Ok((len, from)) if from == self.tx_addr => {
+                    empty_reads = 0;
+                    self.rx_len = len;
                 }
+                Ok(_) => {}
                 Err(_) => {
-                    empty_reads += 1;
+                    if self.parked.is_empty() {
+                        empty_reads += 1;
+                    }
                     if empty_reads >= DRAIN_PATIENCE {
                         self.wire_lost += self.outstanding as u64;
                         self.outstanding = 0;
@@ -544,6 +683,8 @@ pub fn run_multiplexed(cfg: &MuxConfig) -> io::Result<MuxSummary> {
         frames_sent: mux.frames_sent,
         frames_delivered: mux.frames_delivered,
         injected_drops: mux.injected_drops,
+        duplicated: mux.duplicated,
+        datagrams_sent: mux.datagrams_sent,
         wire_lost: mux.wire_lost,
         send_failed: mux.send_failed,
         events: mux.events,
@@ -571,25 +712,123 @@ mod tests {
         Power::from_watts_u64(x)
     }
 
-    #[test]
-    fn frames_roundtrip_and_reject_runts() {
-        let msg = WireMsg::Request {
-            seq: 7,
+    fn request(seq: u64) -> WireMsg {
+        WireMsg::Request {
+            seq,
             urgent: true,
             alpha: w(30),
             from: Some(NodeId::new(3)),
             bid: Power::ZERO,
-        };
-        let buf = frame(NodeId::new(9), NodeId::new(3), &msg);
-        let (dst, src, back) = deframe(&buf).expect("frame decodes");
+        }
+    }
+
+    fn ack(seq: u64) -> WireMsg {
+        WireMsg::Ack { seq, digest: None }
+    }
+
+    /// Every frame left in `buf`, in order.
+    fn frames(buf: &[u8]) -> Vec<(NodeId, NodeId, WireMsg)> {
+        let mut pos = 0;
+        std::iter::from_fn(|| next_frame(buf, &mut pos)).collect()
+    }
+
+    #[test]
+    fn frames_roundtrip_and_reject_runts() {
+        let msg = request(7);
+        let mut buf = Vec::new();
+        push_frame(&mut buf, NodeId::new(9), NodeId::new(3), &msg);
+        assert_eq!(usize::from(buf[0]), buf.len() - 1, "length byte");
+        let (dst, src, back) = deframe(&buf[1..]).expect("frame decodes");
         assert_eq!(dst, NodeId::new(9));
         assert_eq!(src, NodeId::new(3));
         assert_eq!(back, msg);
-        assert!(deframe(&buf[..7]).is_none(), "runt header must not decode");
+        assert!(deframe(&buf[1..8]).is_none(), "runt header must not decode");
         assert!(
-            deframe(&buf[..FRAME_HDR + 2]).is_none(),
+            deframe(&buf[1..FRAME_ADDR + 3]).is_none(),
             "truncated body must not decode"
         );
+        // Several frames share a datagram and come back in order.
+        push_frame(&mut buf, NodeId::new(1), NodeId::new(2), &ack(8));
+        push_frame(&mut buf, NodeId::new(4), NodeId::new(5), &request(9));
+        let got = frames(&buf);
+        assert_eq!(got.len(), 3);
+        assert_eq!(got[1], (NodeId::new(1), NodeId::new(2), ack(8)));
+        assert_eq!(got[2], (NodeId::new(4), NodeId::new(5), request(9)));
+    }
+
+    /// Malformed batches never panic: the valid frames ahead of the bad
+    /// bytes survive, and nothing after an untrustworthy length byte is
+    /// framed.
+    #[test]
+    fn batch_parser_survives_malformed_datagrams() {
+        let mut good = Vec::new();
+        push_frame(&mut good, NodeId::new(1), NodeId::new(0), &ack(1));
+        push_frame(&mut good, NodeId::new(2), NodeId::new(0), &ack(2));
+        let mut next = Vec::new();
+        push_frame(&mut next, NodeId::new(3), NodeId::new(0), &ack(3));
+        let with = |tail: &[u8]| [good.as_slice(), tail].concat();
+        let cases: [(&str, Vec<u8>); 5] = [
+            ("lone length byte", with(&[next[0]])),
+            (
+                "length runs past the datagram",
+                with(&next[..next.len() - 1]),
+            ),
+            ("zero length", with(&[&[0u8][..], &next].concat())),
+            (
+                "oversized length",
+                with(&[&[u8::MAX][..], &[0u8; 300][..]].concat()),
+            ),
+            ("header-only frame", with(&[8, 1, 0, 0, 0, 0, 0, 0, 0])),
+        ];
+        for (what, buf) in cases {
+            let got = frames(&buf);
+            let seqs: Vec<u64> = got
+                .iter()
+                .map(|(_, _, m)| match m {
+                    WireMsg::Ack { seq, .. } => *seq,
+                    other => panic!("{what}: decoded {other:?}"),
+                })
+                .collect();
+            assert_eq!(seqs, [1, 2], "{what}");
+        }
+        // A well-framed body that does not decode is skipped, not fatal.
+        let mut garbage = good.clone();
+        garbage.extend_from_slice(&[10, 1, 0, 0, 0, 0, 0, 0, 0, 0xEE, 0xEE]);
+        garbage.extend_from_slice(&next);
+        assert_eq!(frames(&garbage).len(), 3, "frame after garbage body");
+        assert!(frames(&[]).is_empty());
+    }
+
+    /// The same cases end to end: only valid frames from the reactor's
+    /// own tx socket are dispatched and counted, and a stranger's
+    /// datagram — even a well-formed one — is ignored.
+    #[test]
+    fn reactor_dispatches_only_valid_frames() {
+        let cfg = MuxConfig::soak(4, 0x50AC_0003, 1);
+        let mut mux = Mux::new(&cfg).expect("mux builds");
+        let stranger = UdpSocket::bind("127.0.0.1:0").expect("bind stranger");
+        let mut valid = Vec::new();
+        push_frame(&mut valid, NodeId::new(1), NodeId::new(0), &ack(1));
+        push_frame(&mut valid, NodeId::new(2), NodeId::new(0), &ack(2));
+        stranger
+            .send_to(&valid, mux.rx_addr)
+            .expect("stranger sends");
+        let datagrams = [
+            vec![valid[0]],                           // lone length byte
+            [valid.as_slice(), &[40, 1, 2]].concat(), // runs past the end
+            [valid.as_slice(), &[0]].concat(),        // zero length
+            [valid.as_slice(), &[200; 210]].concat(), // oversized length
+        ];
+        for d in &datagrams {
+            mux.tx.send_to(d, mux.rx_addr).expect("tx sends");
+        }
+        // Acks for unknown grants produce no replies, so exactly the
+        // valid frames of the reactor's own datagrams are outstanding.
+        mux.outstanding = 6;
+        mux.drain_to(0, SimTime::ZERO);
+        assert_eq!(mux.frames_delivered, 6);
+        assert_eq!(mux.wire_lost, 0);
+        assert_eq!(mux.events, 6);
     }
 
     #[test]
@@ -627,11 +866,32 @@ mod tests {
         }
     }
 
+    fn mw(x: u64) -> Power {
+        Power::from_milliwatts(x)
+    }
+
     #[test]
     fn lossy_mux_drops_real_frames_and_conserves() {
         let mut cfg = MuxConfig::soak(48, 0x50AC_0002, 12);
         cfg.fault = Some(FaultConfig::lossy(0xFA17_0001, 200));
         let s = run_multiplexed(&cfg).expect("lossy mux runs");
+        // Golden, recorded with one datagram per frame before batching:
+        // packing frames into shared datagrams must not move a single
+        // fate draw, engine input or milliwatt.
+        assert_eq!(
+            (
+                s.frames_sent,
+                s.frames_delivered,
+                s.injected_drops,
+                s.events
+            ),
+            (462, 462, 127, 1115)
+        );
+        assert_eq!(
+            (s.total_caps, s.total_pools, s.total_escrowed, s.lost),
+            (mw(6_704_837), mw(948_116), mw(27_047), Power::ZERO)
+        );
+        assert_eq!(s.wire_lost, 0);
         assert!(
             s.injected_drops >= 1,
             "vacuous lossy run: the shim dropped nothing at 200‰"
@@ -682,5 +942,74 @@ mod tests {
         assert!(s.frames_delivered > 500, "traffic too thin for 1k nodes");
         assert!(s.grant_rtt().is_some(), "no round trips at 1k nodes");
         assert!(s.accounted_total() <= s.budget, "power was minted");
+        // Golden, recorded with one datagram per frame before batching.
+        assert_eq!(
+            (
+                s.frames_sent,
+                s.frames_delivered,
+                s.injected_drops,
+                s.events
+            ),
+            (3671, 3671, 0, 6748)
+        );
+        assert_eq!(
+            (s.total_caps, s.total_pools),
+            (mw(134_044_513), mw(25_955_487))
+        );
+        assert!(
+            s.datagrams_sent < s.frames_sent / 8,
+            "batching is vacuous: {} datagrams for {} frames",
+            s.datagrams_sent,
+            s.frames_sent
+        );
+    }
+
+    /// Every duplicate copy is an outstanding frame, so the end-of-round
+    /// drain waits for it and no real frame is left stranded in the
+    /// kernel after the last round.
+    #[test]
+    fn duplicated_frames_strand_no_power() {
+        for drop_permille in [0, 50] {
+            let mut cfg = MuxConfig::soak(48, 0x50AC_0001, 12);
+            cfg.fault = Some(FaultConfig {
+                seed: 1,
+                drop_permille,
+                dup_permille: 200,
+                latency: None,
+            });
+            let s = run_multiplexed(&cfg).expect("duplicating mux runs");
+            assert!(s.duplicated >= 1, "vacuous: nothing duplicated");
+            assert_eq!(s.wire_lost, 0, "drop {drop_permille}‰");
+            assert_eq!(
+                s.frames_delivered,
+                s.frames_sent + s.duplicated,
+                "drop {drop_permille}‰: every copy must be dispatched"
+            );
+            assert_eq!(
+                s.accounted_total(),
+                s.budget,
+                "drop {drop_permille}‰: duplicates stranded power"
+            );
+        }
+    }
+
+    /// Delayed copies wait parked, count as outstanding, and join a later
+    /// batch — none is written off as lost on the wire.
+    #[test]
+    fn delayed_frames_are_parked_not_lost() {
+        let mut cfg = MuxConfig::soak(48, 0x50AC_0004, 6);
+        cfg.fault = Some(FaultConfig {
+            seed: 2,
+            drop_permille: 0,
+            dup_permille: 100,
+            latency: Some(penelope_net::LatencyModel::Uniform {
+                lo: SimDuration::from_micros(50),
+                hi: SimDuration::from_micros(500),
+            }),
+        });
+        let s = run_multiplexed(&cfg).expect("delaying mux runs");
+        assert_eq!(s.wire_lost, 0);
+        assert_eq!(s.frames_delivered, s.frames_sent + s.duplicated);
+        assert_eq!(s.accounted_total(), s.budget, "delays stranded power");
     }
 }

@@ -151,6 +151,14 @@ impl WireMsg {
     /// Encode into a fresh buffer.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(MAX_WIRE_LEN);
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Append the encoding to `buf`, leaving the bytes already there
+    /// untouched — the allocation-free path for callers that pack
+    /// several messages into one reusable buffer.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         let version = match self {
             WireMsg::Request {
                 from: Some(_), bid, ..
@@ -193,18 +201,17 @@ impl WireMsg {
                 buf.extend_from_slice(&seq.to_le_bytes());
                 buf.extend_from_slice(&amount.milliwatts().to_le_bytes());
                 if let Some(d) = digest {
-                    encode_digest(&mut buf, d);
+                    encode_digest(buf, d);
                 }
             }
             WireMsg::Ack { seq, digest } => {
                 buf.push(KIND_ACK);
                 buf.extend_from_slice(&seq.to_le_bytes());
                 if let Some(d) = digest {
-                    encode_digest(&mut buf, d);
+                    encode_digest(buf, d);
                 }
             }
         }
-        buf
     }
 
     /// Decode from a received datagram. Accepts both wire versions; a v1
@@ -444,6 +451,37 @@ mod tests {
         assert_eq!(WireMsg::decode(&bytes), Ok(msg));
         // Truncated ack body fails cleanly.
         assert_eq!(WireMsg::decode(&bytes[..9]), Err(WireError::Truncated));
+    }
+
+    #[test]
+    fn encode_into_appends_exactly_the_encoding() {
+        let msgs = [
+            WireMsg::Request {
+                seq: 11,
+                urgent: true,
+                alpha: w(25),
+                from: Some(NodeId::new(4)),
+                bid: w(2),
+            },
+            WireMsg::Grant {
+                seq: 12,
+                amount: w(40),
+                digest: Some(digest(3, &[(7, 1), (9, 2)])),
+            },
+            WireMsg::Ack {
+                seq: 13,
+                digest: None,
+            },
+        ];
+        // Start from a non-empty buffer: the prefix must survive and each
+        // message must add exactly the bytes `encode` returns.
+        let mut buf = vec![0xAB, 0xCD, 0xEF];
+        let mut expected = buf.clone();
+        for msg in &msgs {
+            msg.encode_into(&mut buf);
+            expected.extend_from_slice(&msg.encode());
+            assert_eq!(buf, expected);
+        }
     }
 
     #[test]

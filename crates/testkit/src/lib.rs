@@ -6,8 +6,7 @@
 //! * [`rng`] — the workspace PRNG (SplitMix64-seeded xoshiro256**) with
 //!   the `gen_range`/`gen_bool`/`shuffle` surface the codebase uses.
 //!   Product crates use this directly; the `rand`/`rand_chacha` names
-//!   remain available to tests through in-tree compatibility shims under
-//!   the `ext-rand` feature.
+//!   remain available to tests through in-tree compatibility shims.
 //! * [`prop`] — a fixed-iteration property-test harness with integer /
 //!   float / vec / tuple generators, binary-search shrinking and
 //!   seed-reporting failure output, replacing `proptest` for the

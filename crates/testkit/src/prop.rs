@@ -2,9 +2,8 @@
 //!
 //! A fixed-iteration, seed-reporting, shrinking property runner with no
 //! dependencies outside this crate. It exists so the workspace's property
-//! suites run offline by default; the `proptest` versions of the same
-//! suites stay available behind the `ext-rand` feature as a
-//! cross-validation convenience.
+//! suites run offline; the `proptest!`-syntax suites compile against the
+//! in-tree `proptest` stand-in, which is built on this harness.
 //!
 //! Model: a [`Gen`] produces values from a [`TestRng`] and can propose
 //! *simpler* candidate values for a failing input (integers binary-search

@@ -88,6 +88,11 @@ fn main() {
         summary.frames_sent, summary.frames_delivered, summary.wire_lost, summary.send_failed
     );
     println!(
+        "  datagrams: {} ({:.1} frames per datagram)",
+        summary.datagrams_sent,
+        summary.frames_sent as f64 / summary.datagrams_sent.max(1) as f64
+    );
+    println!(
         "  power: caps={} pools={} escrowed={} lost={} budget={}",
         summary.total_caps,
         summary.total_pools,
