@@ -4,15 +4,20 @@
 //! pool (Algorithm 2), grant escrow, applied-seq dedup, suspicion/gossip
 //! and peer selection, composed into one state machine that owns every
 //! protocol decision. It performs no I/O and reads no clock: the hosting
-//! substrate (discrete-event simulator, lockstep threaded runtime, UDP
-//! daemon) pumps [`EngineInput`]s into [`NodeEngine::handle`] and executes
-//! the [`EngineOutput`]s it returns — sending messages, arming timers,
-//! actuating power caps. The engine is the single emission site for every
-//! protocol trace event, so all substrates produce the identical
-//! narrative by construction; transport-layer events (`MsgSent`,
-//! `MsgRecv`, `MsgDropped`, `AckDropped`, `RequestDenied` and node
-//! lifecycle) remain the driver's responsibility because they describe
-//! the substrate, not the protocol.
+//! substrate (discrete-event simulator, sharded simulator, lockstep and
+//! threaded runtimes, UDP daemons) feeds [`EngineInput`]s into
+//! [`NodeEngine::step`], which advances the automaton and runs every
+//! resulting [`EngineOutput`] through the substrate's [`Effects`] —
+//! sending messages, arming timers, actuating power caps.
+//!
+//! The engine is the single emission site for every protocol trace event
+//! *and* for the transport events that describe its sends, so all
+//! substrates produce the identical narrative by construction. Each
+//! attempted send emits `MsgSent`, then at most one of `MsgDropped`
+//! (`AckDropped` for an ack) when [`Effects::send`] reports
+//! [`Delivery::Dropped`], or `SendFailed` when it reports
+//! [`Delivery::Failed`]. What stays with the driver is what describes the
+//! substrate alone: `MsgRecv`, `RequestDenied` and node lifecycle.
 //!
 //! # The driver contract
 //!
@@ -20,30 +25,31 @@
 //!   never asks for the time.
 //! * **Randomness** — the driver passes an [`EngineRng`]; the engine
 //!   draws at most what peer selection needs (identical draw sequences to
-//!   the historical inline code, so recorded seeds replay byte-for-byte).
-//! * **Transport** — [`EngineOutput::Send`] asks the driver to route a
-//!   message; delivery, loss and latency are the driver's domain.
-//!   [`EngineOutput::SendGrant`] is the one output with a feedback
-//!   obligation: after attempting delivery the driver MUST synchronously
-//!   feed back [`EngineInput::GrantOutcome`] so the engine can escrow the
-//!   debited amount with the correct delivery knowledge.
-//! * **Timers** — [`EngineOutput::SetEscrowTimer`] requests a wake-up at
-//!   a deadline; substrates with an event queue schedule it and feed back
-//!   [`EngineInput::EscrowDeadline`], while period-polling substrates may
-//!   ignore it and feed [`EngineInput::SweepEscrow`] once per period.
-//! * **Power** — [`EngineOutput::Actuate`] publishes the cap the decider
-//!   wants enforced; the driver applies it to RAPL (or a model of it).
+//!   the historical inline code, so recorded seeds replay byte-for-byte),
+//!   and only while handling the input itself — never from inside the
+//!   output loop.
+//! * **Transport** — [`Effects::send`] routes one message and reports
+//!   what the transport knows at once: carried, known-dropped or refused.
+//!   For a non-zero grant the engine feeds that answer straight back as
+//!   [`EngineInput::GrantOutcome`], so the debited amount is escrowed with
+//!   the correct delivery knowledge.
+//! * **Timers** — [`Effects::set_escrow_timer`] requests a wake-up at a
+//!   deadline; substrates with an event queue schedule it and feed back
+//!   [`EngineInput::EscrowDeadline`], while period-polling substrates
+//!   leave the no-op default and feed [`EngineInput::SweepEscrow`] once
+//!   per period.
+//! * **Power** — [`Effects::actuate`] publishes the cap the decider wants
+//!   enforced; the driver applies it to RAPL (or a model of it).
 //! * **Admission** — the pool's service-queue model (service time, queue
 //!   capacity, overload drops) stays in the driver: the engine serves a
 //!   [`PeerMsg::Request`] the moment it is fed one, so the driver feeds
 //!   it at service-completion time and emits `RequestDenied` itself on
 //!   queue overflow.
 //!
-//! Outputs are appended to a caller-supplied `Vec`, which the driver
-//! should iterate *by index*: executing a `SendGrant` re-enters
-//! [`NodeEngine::handle`] with the outcome, appending that call's outputs
-//! (the escrow timer) to the same buffer mid-iteration. This single
-//! reusable buffer keeps the hot path allocation-free.
+//! [`NodeEngine::handle`] is the automaton without the output loop: it
+//! appends the outputs of one input to a caller-supplied `Vec` and
+//! executes nothing. [`NodeEngine::step`] is `handle` plus that loop, run
+//! over the same reusable buffer, so the hot path stays allocation-free.
 
 use penelope_trace::{EventKind, SharedObserver, TraceEvent};
 use penelope_units::{NodeId, Power, SimTime};
@@ -55,6 +61,49 @@ use crate::escrow::{EscrowState, GrantEscrow};
 use crate::policy::DeciderPolicy;
 use crate::pool::PowerPool;
 use crate::protocol::{GrantAck, PeerMsg, PowerGrant, PowerRequest};
+
+/// What the transport knows about one message right after
+/// [`Effects::send`] handed it over.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Delivery {
+    /// The transport took the message. It may still be lost later, unseen.
+    Sent,
+    /// The message is known lost at send: injected loss, a cut link or a
+    /// dead peer.
+    Dropped,
+    /// The host refused the send (an OS socket error).
+    Failed,
+}
+
+/// The substrate side of [`NodeEngine::step`]: one hook per kind of
+/// [`EngineOutput`], called in output order. Implementations do only the
+/// substrate's own work — routing, ledgers, hardware, timers; the engine
+/// feeds grant outcomes back and emits the transport events itself.
+pub trait Effects {
+    /// Route `msg` to `dst` and report what the transport knows at once.
+    /// `carried` is the power travelling with it, non-zero only for a
+    /// non-zero grant (`grant == true`): that amount departs the
+    /// granter's ledger only if the answer is [`Delivery::Sent`].
+    fn send(&mut self, dst: NodeId, msg: &PeerMsg, carried: Power, grant: bool) -> Delivery;
+
+    /// Apply this cap to the node's power interface.
+    fn actuate(&mut self, cap: Power);
+
+    /// A stale grant was discarded: book `amount` as permanently lost.
+    fn power_lost(&mut self, amount: Power);
+
+    /// Arm a wake-up that feeds [`EngineInput::EscrowDeadline`] at `at`.
+    /// Substrates that sweep escrow once per period keep this no-op.
+    fn set_escrow_timer(&mut self, requester: NodeId, seq: u64, at: SimTime) {
+        let _ = (requester, seq, at);
+    }
+
+    /// The outstanding request `seq` was answered with `amount` (zero for
+    /// an empty-handed reply). For turnaround and redistribution metrics.
+    fn resolved(&mut self, seq: u64, amount: Power) {
+        let _ = (seq, amount);
+    }
+}
 
 /// Everything a [`NodeEngine`] needs to know at construction, shared by
 /// all three substrates so protocol parameters cannot drift between a
@@ -121,10 +170,12 @@ pub enum EngineInput {
         /// The message.
         msg: PeerMsg,
     },
-    /// Transport feedback for an [`EngineOutput::SendGrant`]: the driver
-    /// reports whether the grant was handed to the network. MUST be fed
-    /// synchronously after attempting delivery — the engine escrows the
-    /// (already pool-debited) amount based on this knowledge.
+    /// Transport feedback for an [`EngineOutput::SendGrant`]: whether the
+    /// grant was handed to the network. [`NodeEngine::step`] feeds it
+    /// itself from the [`Effects::send`] answer; a caller of
+    /// [`NodeEngine::handle`] MUST feed it synchronously after attempting
+    /// delivery — the engine escrows the (already pool-debited) amount
+    /// based on this knowledge.
     GrantOutcome {
         /// The requester the grant was addressed to.
         requester: NodeId,
@@ -156,9 +207,10 @@ pub enum EngineInput {
 pub enum EngineOutput {
     /// Route a protocol message to a peer. `carried` is the power
     /// travelling with it (zero for requests, acks and zero grants) so
-    /// accounting substrates can move it between ledgers; the driver
-    /// emits the transport events (`MsgSent`, and `MsgDropped` /
-    /// `AckDropped` on loss).
+    /// accounting substrates can move it between ledgers.
+    /// [`NodeEngine::step`] hands it to [`Effects::send`] and emits the
+    /// transport events (`MsgSent`, then `MsgDropped` / `AckDropped` /
+    /// `SendFailed` when the send did not go through) itself.
     Send {
         /// Destination node.
         dst: NodeId,
@@ -169,11 +221,13 @@ pub enum EngineOutput {
     },
     /// Route a freshly served (or escrow-resent) *non-zero* grant, then
     /// synchronously feed back [`EngineInput::GrantOutcome`] with the
-    /// delivery result. Split from [`EngineOutput::Send`] because the
-    /// ledger treatment differs: the amount only departs the granter when
-    /// the transport actually carries the message — a grant known-dropped
-    /// at send keeps its accounting weight on the granter (as an
-    /// undelivered escrow entry) instead of being booked as lost.
+    /// delivery result ([`NodeEngine::step`] does both, calling
+    /// [`Effects::send`] with `grant = true`). Split from
+    /// [`EngineOutput::Send`] because the ledger treatment differs: the
+    /// amount only departs the granter when the transport actually
+    /// carries the message — a grant known-dropped at send keeps its
+    /// accounting weight on the granter (as an undelivered escrow entry)
+    /// instead of being booked as lost.
     SendGrant {
         /// Destination (the requester).
         dst: NodeId,
@@ -472,8 +526,10 @@ impl NodeEngine {
     }
 
     /// Advance the automaton by one input, appending the effects the
-    /// driver must execute to `out` (the buffer is NOT cleared — drivers
-    /// reuse one buffer and iterate by index; see the module docs).
+    /// driver must execute to `out` and executing none of them (the
+    /// buffer is NOT cleared). Drivers call [`step`](NodeEngine::step),
+    /// which runs this and then the outputs; `handle` alone is the
+    /// primitive that transcripts and probes pin.
     pub fn handle(
         &mut self,
         now: SimTime,
@@ -504,6 +560,82 @@ impl NodeEngine {
                     self.reclaim(now, entry.requester, entry.seq, entry.amount, entry.state);
                 }
             }
+        }
+    }
+
+    /// Advance the automaton by one input and execute its outputs through
+    /// `fx`, in order — the output loop every driver shares (see the
+    /// module docs). A non-zero grant's [`Delivery`] is fed back as
+    /// [`EngineInput::GrantOutcome`] at once, and its escrow bookkeeping
+    /// joins the same loop. Every send emits its transport events through
+    /// this engine's observer.
+    ///
+    /// Outputs are appended to `out` past its current length and removed
+    /// again once executed; pass one reusable buffer and no call
+    /// allocates. Only handling `input` draws from `rng`.
+    pub fn step(
+        &mut self,
+        now: SimTime,
+        input: EngineInput,
+        rng: &mut impl EngineRng,
+        out: &mut Vec<EngineOutput>,
+        fx: &mut impl Effects,
+    ) {
+        let start = out.len();
+        self.handle(now, input, rng, out);
+        let mut i = start;
+        while i < out.len() {
+            match &out[i] {
+                EngineOutput::Actuate { cap } => fx.actuate(*cap),
+                EngineOutput::Send { dst, msg, carried } => {
+                    let delivery = fx.send(*dst, msg, *carried, false);
+                    self.emit_transport(now, *dst, msg, *carried, delivery);
+                }
+                EngineOutput::SendGrant {
+                    dst,
+                    msg,
+                    amount,
+                    seq,
+                } => {
+                    let (dst, amount, seq) = (*dst, *amount, *seq);
+                    let delivery = fx.send(dst, msg, amount, true);
+                    self.emit_transport(now, dst, msg, amount, delivery);
+                    let delivered = delivery == Delivery::Sent;
+                    self.on_grant_outcome(now, dst, seq, amount, delivered, out);
+                }
+                EngineOutput::SetEscrowTimer { requester, seq, at } => {
+                    fx.set_escrow_timer(*requester, *seq, *at)
+                }
+                EngineOutput::PowerLost { amount } => fx.power_lost(*amount),
+                EngineOutput::Resolved { seq, amount } => fx.resolved(*seq, *amount),
+            }
+            i += 1;
+        }
+        out.truncate(start);
+    }
+
+    /// The one transport rule: `MsgSent` for every attempt, then at most
+    /// one event saying why it did not go through.
+    #[inline]
+    fn emit_transport(
+        &self,
+        now: SimTime,
+        dst: NodeId,
+        msg: &PeerMsg,
+        carried: Power,
+        delivery: Delivery,
+    ) {
+        if !self.obs_on {
+            return;
+        }
+        self.emit(now, || EventKind::MsgSent { dst, carried });
+        match (delivery, msg) {
+            (Delivery::Sent, _) => {}
+            (Delivery::Dropped, PeerMsg::Ack(a, _)) => {
+                self.emit(now, || EventKind::AckDropped { dst, seq: a.seq })
+            }
+            (Delivery::Dropped, _) => self.emit(now, || EventKind::MsgDropped { dst, carried }),
+            (Delivery::Failed, _) => self.emit(now, || EventKind::SendFailed { dst }),
         }
     }
 

@@ -3,18 +3,18 @@
 //! Both threads drive one shared [`NodeEngine`] — the same automaton the
 //! simulator and the threaded runtime run — behind a mutex (§3.3: "a
 //! simple lock"). The daemon's job reduces to transport: decode
-//! datagrams into [`EngineInput`]s, execute [`EngineOutput`]s as UDP
+//! datagrams into [`EngineInput`]s, carry out the engine's effects as UDP
 //! sends and RAPL writes, and keep a node-id → socket-address table so
 //! engine-level peer ids resolve to real endpoints.
 //!
 //! All sends go through the [`DatagramSocket`] shim, so a test can slot a
 //! deterministic fault plane (`penelope_net::FaultySocket`) under a live
 //! daemon. An injected drop comes back as [`SendStatus::Dropped`]: the
-//! daemon *knows* the datagram never left, emits `MsgDropped` (or
-//! `AckDropped`), and — for grants — feeds `delivered = false` into the
-//! engine so the amount is escrowed as undelivered and reclaimed at the
-//! deadline instead of leaking. A real OS send error is different news
-//! and is counted separately as `send_failed`.
+//! daemon *knows* the datagram never left and answers the engine's send
+//! with [`Delivery::Dropped`], so the engine emits `MsgDropped` (or
+//! `AckDropped`) and escrows a dropped grant as undelivered, reclaimed at
+//! the deadline instead of leaking. A real OS send error is different
+//! news: [`Delivery::Failed`], counted separately as `send_failed`.
 
 use std::collections::HashMap;
 use std::io;
@@ -27,8 +27,8 @@ use std::time::{Duration, Instant};
 
 use penelope_core::decider::DeciderStats;
 use penelope_core::{
-    EngineConfig, EngineInput, EngineOutput, GrantAck, NodeEngine, PeerMsg, PowerGrant,
-    PowerRequest,
+    Delivery, Effects, EngineConfig, EngineInput, EngineOutput, GrantAck, NodeEngine, PeerMsg,
+    PowerGrant, PowerRequest,
 };
 use penelope_net::shim::{DatagramSocket, SendStatus};
 use penelope_power::{CappedDevice, ConstantDevice, LinuxRapl, PowerInterface, SimulatedRapl};
@@ -239,6 +239,54 @@ fn build_hardware(cfg: &DaemonConfig) -> io::Result<Hardware> {
     })
 }
 
+/// The daemon's side of one engine step: UDP sends through the shim and,
+/// on the decider thread, the node's power hardware.
+struct DaemonEffects<'a> {
+    me: NodeId,
+    socket: &'a dyn DatagramSocket,
+    /// Node-id-indexed peer addresses; requests resolve `dst` here.
+    addrs: &'a Mutex<Vec<SocketAddr>>,
+    /// Where replies (grants, acks) go: the datagram source of the
+    /// message being answered, whatever id the engine knows it by.
+    reply_to: Option<SocketAddr>,
+    hardware: Option<&'a mut Hardware>,
+    /// The seq of a request sent during this step.
+    awaiting: Option<u64>,
+}
+
+impl Effects for DaemonEffects<'_> {
+    fn send(&mut self, dst: NodeId, msg: &PeerMsg, _carried: Power, _grant: bool) -> Delivery {
+        let peer_addr = || lock_table(self.addrs, "addrs", self.me)[dst.index()];
+        let target = match msg {
+            PeerMsg::Request(req) => {
+                // A dropped request still opens the wait window: the
+                // requester cannot know its datagram died, so it blocks
+                // out the timeout exactly as a lossy network would make it.
+                self.awaiting = Some(req.seq);
+                peer_addr()
+            }
+            _ => self.reply_to.unwrap_or_else(peer_addr),
+        };
+        match self
+            .socket
+            .send_to(&WireMsg::from_peer(msg, self.me).encode(), target)
+        {
+            Ok(SendStatus::Sent) => Delivery::Sent,
+            Ok(SendStatus::Dropped) => Delivery::Dropped,
+            Err(_) => Delivery::Failed,
+        }
+    }
+
+    fn actuate(&mut self, cap: Power) {
+        if let Some(hardware) = self.hardware.as_deref_mut() {
+            hardware.set_cap(cap);
+        }
+    }
+
+    /// The daemon keeps no conservation ledger of its own.
+    fn power_lost(&mut self, _amount: Power) {}
+}
+
 /// Map a datagram source address to a cluster node id: a configured (or
 /// since-learned) peer address resolves to its logical id, anything else
 /// gets a stable synthetic id above the cluster range — so the engine's
@@ -348,7 +396,6 @@ pub fn run_daemon_with_shim(
     let net_socket = Arc::clone(&socket);
     net_socket.set_read_timeout(Some(Duration::from_millis(10)))?;
     let net_stop = Arc::clone(&shutdown);
-    let net_obs = obs.clone();
     let net_engine = Arc::clone(&engine);
     let net_addrs = Arc::clone(&peer_addrs);
     let net_thread = thread::spawn(move || {
@@ -357,8 +404,17 @@ pub fn run_daemon_with_shim(
         let mut next_extern = cluster_size as u32;
         let mut outputs: Vec<EngineOutput> = Vec::new();
         // The serve path never draws randomness; this stream exists only
-        // to satisfy `handle`'s signature.
+        // to satisfy `step`'s signature.
         let mut rng = TestRng::seed_from_u64(0);
+        // Every reply goes back to the datagram source of what it answers.
+        let fx = |reply_to| DaemonEffects {
+            me,
+            socket: &*net_socket,
+            addrs: &net_addrs,
+            reply_to,
+            hardware: None,
+            awaiting: None,
+        };
         while !net_stop.load(Ordering::Relaxed) {
             let sweep_now =
                 SimTime::from_nanos(origin.elapsed().as_nanos().min(u64::MAX as u128) as u64);
@@ -368,13 +424,13 @@ pub fn run_daemon_with_shim(
             // lost, and re-crediting the pool then would mint power. (The
             // engine credits back only known-undelivered entries, which a
             // UDP sender essentially never has.)
-            lock_table(&net_engine, "engine", me).handle(
+            lock_table(&net_engine, "engine", me).step(
                 sweep_now,
                 EngineInput::SweepEscrow,
                 &mut rng,
                 &mut outputs,
+                &mut fx(None),
             );
-            outputs.clear();
             let (len, src) = match net_socket.recv_from(&mut buf) {
                 Ok(x) => x,
                 Err(e)
@@ -407,8 +463,7 @@ pub fn run_daemon_with_shim(
                         }
                         None => resolve_src(src, me, &net_addrs, &mut extern_ids, &mut next_extern),
                     };
-                    let mut eng = lock_table(&net_engine, "engine", me);
-                    eng.handle(
+                    lock_table(&net_engine, "engine", me).step(
                         now,
                         EngineInput::Msg {
                             src: src_id,
@@ -422,105 +477,8 @@ pub fn run_daemon_with_shim(
                         },
                         &mut rng,
                         &mut outputs,
+                        &mut fx(Some(src)),
                     );
-                    // Iterate by index: the GrantOutcome feedback below
-                    // may append to the same buffer.
-                    let mut k = 0;
-                    while k < outputs.len() {
-                        let out = outputs[k].clone();
-                        k += 1;
-                        match out {
-                            // A zero grant: empty-handed serve or a
-                            // reminder for an already-escrowed duplicate.
-                            EngineOutput::Send {
-                                dst,
-                                msg: PeerMsg::Grant(g, digest),
-                                carried,
-                            } => {
-                                let reply = WireMsg::Grant {
-                                    seq: g.seq,
-                                    amount: g.amount,
-                                    digest,
-                                }
-                                .encode();
-                                match net_socket.send_to(&reply, src) {
-                                    Ok(SendStatus::Sent) => net_obs
-                                        .emit(|| stamp(now, EventKind::MsgSent { dst, carried })),
-                                    Ok(SendStatus::Dropped) => net_obs.emit(|| {
-                                        stamp(now, EventKind::MsgDropped { dst, carried })
-                                    }),
-                                    Err(_) => {
-                                        net_obs.emit(|| stamp(now, EventKind::SendFailed { dst }))
-                                    }
-                                }
-                            }
-                            EngineOutput::SendGrant {
-                                dst,
-                                msg,
-                                amount,
-                                seq: gseq,
-                            } => {
-                                let status = if let PeerMsg::Grant(g, digest) = msg {
-                                    let reply = WireMsg::Grant {
-                                        seq: g.seq,
-                                        amount: g.amount,
-                                        digest,
-                                    }
-                                    .encode();
-                                    net_socket.send_to(&reply, src)
-                                } else {
-                                    // Unreachable: SendGrant always wraps
-                                    // a Grant. Treat as known-undelivered.
-                                    Ok(SendStatus::Dropped)
-                                };
-                                // The ledger follows the shim's knowledge:
-                                // only a datagram the network actually
-                                // took departs the granter. A known drop
-                                // (or a failed send) keeps the amount
-                                // escrowed as undelivered, to be
-                                // reclaimed at the deadline.
-                                let delivered = matches!(status, Ok(SendStatus::Sent));
-                                match status {
-                                    Ok(SendStatus::Sent) => net_obs.emit(|| {
-                                        stamp(
-                                            now,
-                                            EventKind::MsgSent {
-                                                dst,
-                                                carried: amount,
-                                            },
-                                        )
-                                    }),
-                                    Ok(SendStatus::Dropped) => net_obs.emit(|| {
-                                        stamp(
-                                            now,
-                                            EventKind::MsgDropped {
-                                                dst,
-                                                carried: amount,
-                                            },
-                                        )
-                                    }),
-                                    Err(_) => {
-                                        net_obs.emit(|| stamp(now, EventKind::SendFailed { dst }))
-                                    }
-                                }
-                                eng.handle(
-                                    now,
-                                    EngineInput::GrantOutcome {
-                                        requester: dst,
-                                        seq: gseq,
-                                        amount,
-                                        delivered,
-                                    },
-                                    &mut rng,
-                                    &mut outputs,
-                                );
-                            }
-                            // Swept in bulk at the top of the loop.
-                            EngineOutput::SetEscrowTimer { .. } => {}
-                            _ => {}
-                        }
-                    }
-                    outputs.clear();
                 }
                 Ok(grant @ WireMsg::Grant { .. }) => {
                     let _ = grant_tx.send((grant, src));
@@ -533,7 +491,7 @@ pub fn run_daemon_with_shim(
                     // harmless.
                     let src_id =
                         resolve_src(src, me, &net_addrs, &mut extern_ids, &mut next_extern);
-                    lock_table(&net_engine, "engine", me).handle(
+                    lock_table(&net_engine, "engine", me).step(
                         now,
                         EngineInput::Msg {
                             src: src_id,
@@ -541,8 +499,8 @@ pub fn run_daemon_with_shim(
                         },
                         &mut rng,
                         &mut outputs,
+                        &mut fx(Some(src)),
                     );
-                    outputs.clear();
                 }
                 Err(_) => { /* garbage datagram: drop */ }
             }
@@ -569,62 +527,22 @@ pub fn run_daemon_with_shim(
             iterations += 1;
             let now = SimTime::from_nanos(origin.elapsed().as_nanos().min(u64::MAX as u128) as u64);
             let reading = hardware.read_power();
-            lock_table(&decider_engine, "engine", me).handle(
+            let mut fx = DaemonEffects {
+                me,
+                socket: &*decider_socket,
+                addrs: &decider_addrs,
+                reply_to: None,
+                hardware: Some(&mut hardware),
+                awaiting: None,
+            };
+            lock_table(&decider_engine, "engine", me).step(
                 now,
                 EngineInput::Tick { reading },
                 &mut rng,
                 &mut outputs,
+                &mut fx,
             );
-            let mut await_seq = None;
-            for out in outputs.drain(..) {
-                match out {
-                    EngineOutput::Actuate { cap } => hardware.set_cap(cap),
-                    EngineOutput::Send {
-                        dst,
-                        msg: PeerMsg::Request(req),
-                        ..
-                    } => {
-                        let wire = WireMsg::Request {
-                            seq: req.seq,
-                            urgent: req.urgent,
-                            alpha: req.alpha,
-                            from: Some(me),
-                            bid: req.bid,
-                        }
-                        .encode();
-                        let target = lock_table(&decider_addrs, "addrs", me)[dst.index()];
-                        match decider_socket.send_to(&wire, target) {
-                            Ok(SendStatus::Sent) => decider_obs.emit(|| {
-                                stamp(
-                                    now,
-                                    EventKind::MsgSent {
-                                        dst,
-                                        carried: Power::ZERO,
-                                    },
-                                )
-                            }),
-                            Ok(SendStatus::Dropped) => decider_obs.emit(|| {
-                                stamp(
-                                    now,
-                                    EventKind::MsgDropped {
-                                        dst,
-                                        carried: Power::ZERO,
-                                    },
-                                )
-                            }),
-                            Err(_) => {
-                                decider_obs.emit(|| stamp(now, EventKind::SendFailed { dst }))
-                            }
-                        }
-                        // A dropped request still opens the wait window:
-                        // the requester cannot know its datagram died, so
-                        // it blocks out the timeout exactly as a lossy
-                        // network would make it.
-                        await_seq = Some(req.seq);
-                    }
-                    _ => {}
-                }
-            }
+            let await_seq = fx.awaiting;
             if let Some(seq) = await_seq {
                 // Block for the grant, as the paper's decider does.
                 let deadline = Instant::now() + timeout;
@@ -667,7 +585,14 @@ pub fn run_daemon_with_shim(
                                     },
                                 )
                             });
-                            lock_table(&decider_engine, "engine", me).handle(
+                            // The engine actuates the new cap and sends
+                            // the commit ack straight back to the
+                            // granter's source address, so it releases
+                            // the grant's escrow entry. A dropped ack
+                            // conserves power (the amount already landed
+                            // in our cap; the granter's entry simply
+                            // expires without credit).
+                            lock_table(&decider_engine, "engine", me).step(
                                 now2,
                                 EngineInput::Msg {
                                     src: gid,
@@ -675,53 +600,15 @@ pub fn run_daemon_with_shim(
                                 },
                                 &mut rng,
                                 &mut outputs,
+                                &mut DaemonEffects {
+                                    me,
+                                    socket: &*decider_socket,
+                                    addrs: &decider_addrs,
+                                    reply_to: Some(gsrc),
+                                    hardware: Some(&mut hardware),
+                                    awaiting: None,
+                                },
                             );
-                            for out in outputs.drain(..) {
-                                match out {
-                                    EngineOutput::Actuate { cap } => hardware.set_cap(cap),
-                                    // The commit ack, straight back to
-                                    // the granter's source address so it
-                                    // releases the grant's escrow entry.
-                                    EngineOutput::Send {
-                                        dst,
-                                        msg: PeerMsg::Ack(a, d),
-                                        ..
-                                    } => {
-                                        let ack = WireMsg::Ack {
-                                            seq: a.seq,
-                                            digest: d,
-                                        }
-                                        .encode();
-                                        // A dropped ack conserves power
-                                        // (the amount already landed in
-                                        // our cap; the granter's escrow
-                                        // entry simply expires without
-                                        // credit) — but it must be
-                                        // visible in the trace.
-                                        match decider_socket.send_to(&ack, gsrc) {
-                                            Ok(SendStatus::Sent) => decider_obs.emit(|| {
-                                                stamp(
-                                                    now2,
-                                                    EventKind::MsgSent {
-                                                        dst,
-                                                        carried: Power::ZERO,
-                                                    },
-                                                )
-                                            }),
-                                            Ok(SendStatus::Dropped) => decider_obs.emit(|| {
-                                                stamp(
-                                                    now2,
-                                                    EventKind::AckDropped { dst, seq: a.seq },
-                                                )
-                                            }),
-                                            Err(_) => decider_obs.emit(|| {
-                                                stamp(now2, EventKind::SendFailed { dst })
-                                            }),
-                                        }
-                                    }
-                                    _ => {}
-                                }
-                            }
                             if gseq == seq {
                                 break;
                             }

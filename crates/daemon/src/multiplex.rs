@@ -55,8 +55,8 @@ use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
 use penelope_core::{
-    EngineConfig, EngineInput, EngineOutput, GrantAck, NodeEngine, NodeParams, PeerMsg, PowerGrant,
-    PowerRequest,
+    Delivery, Effects, EngineConfig, EngineInput, EngineOutput, GrantAck, NodeEngine, NodeParams,
+    PeerMsg, PowerGrant, PowerRequest,
 };
 use penelope_net::shim::{DirectionPlan, FaultConfig};
 use penelope_testkit::rng::{node_stream, TestRng};
@@ -283,16 +283,24 @@ fn next_frame(buf: &[u8], pos: &mut usize) -> Option<(NodeId, NodeId, WireMsg)> 
     None
 }
 
-/// The reactor state: every engine, both shared sockets, the tx batch,
-/// the rx cursor and the run's counters. One instance per run, owned by
-/// the calling thread.
+/// The reactor state: every engine and the [`Host`] they act on. One
+/// instance per run, owned by the calling thread.
 struct Mux {
     engines: Vec<NodeEngine>,
     rngs: Vec<TestRng>,
+    demands: Vec<Power>,
+    /// Reusable engine-output buffer, lent to every engine step.
+    scratch: Vec<EngineOutput>,
+    events: u64,
+    host: Host,
+}
+
+/// Everything the engines' effects reach: both shared sockets, the tx
+/// batch, the rx cursor, the per-node caps and the run's counters.
+struct Host {
     /// Last actuated cap per node — the reading model is
     /// `min(demand, cap)`.
     caps: Vec<Power>,
-    demands: Vec<Power>,
     tx: UdpSocket,
     tx_addr: SocketAddr,
     rx: UdpSocket,
@@ -315,8 +323,6 @@ struct Mux {
     outstanding: usize,
     /// Wall-clock send stamp per open request, keyed (requester, seq).
     pending_rtt: HashMap<(u32, u64), Instant>,
-    /// Reusable engine-output buffer (see the drive loop).
-    scratch: Vec<EngineOutput>,
     frames_sent: u64,
     frames_delivered: u64,
     injected_drops: u64,
@@ -324,68 +330,11 @@ struct Mux {
     datagrams_sent: u64,
     wire_lost: u64,
     send_failed: u64,
-    events: u64,
     lost: Power,
     rtt_samples_ns: Vec<u64>,
 }
 
-impl Mux {
-    fn new(cfg: &MuxConfig) -> io::Result<Self> {
-        let rx = UdpSocket::bind("127.0.0.1:0")?;
-        rx.set_read_timeout(Some(Duration::from_millis(3)))?;
-        let rx_addr = rx.local_addr()?;
-        let tx = UdpSocket::bind("127.0.0.1:0")?;
-        let tx_addr = tx.local_addr()?;
-        let engines = (0..cfg.nodes)
-            .map(|i| {
-                NodeEngine::new(
-                    NodeId::new(i as u32),
-                    cfg.nodes,
-                    EngineConfig::new(cfg.node),
-                    cfg.initial_cap,
-                    SharedObserver::noop(),
-                )
-            })
-            .collect();
-        let rngs = (0..cfg.nodes)
-            .map(|i| TestRng::seed_from_u64(node_stream(cfg.seed, i as u64)))
-            .collect();
-        Ok(Mux {
-            engines,
-            rngs,
-            caps: vec![cfg.initial_cap; cfg.nodes],
-            demands: (0..cfg.nodes)
-                .map(|i| cfg.demands[i % cfg.demands.len()])
-                .collect(),
-            tx,
-            tx_addr,
-            rx,
-            rx_addr,
-            // The shared inbox is the only destination: direction slot 0.
-            fates: cfg.fault.as_ref().map(|f| DirectionPlan::new(f, 0)),
-            batch: Vec::with_capacity(BATCH_CAP),
-            batch_frames: 0,
-            parked: BinaryHeap::new(),
-            parked_stamp: 0,
-            rx_buf: vec![0; BATCH_CAP].into_boxed_slice(),
-            rx_len: 0,
-            rx_pos: 0,
-            outstanding: 0,
-            pending_rtt: HashMap::new(),
-            scratch: Vec::new(),
-            frames_sent: 0,
-            frames_delivered: 0,
-            injected_drops: 0,
-            duplicated: 0,
-            datagrams_sent: 0,
-            wire_lost: 0,
-            send_failed: 0,
-            events: 0,
-            lost: Power::ZERO,
-            rtt_samples_ns: Vec::new(),
-        })
-    }
-
+impl Host {
     /// Draw one frame's fate and queue it (and any duplicate copy) for
     /// the shared socket. Returns whether it will reach the wire: `false`
     /// only for an injected drop, so the answer is exact at once.
@@ -464,114 +413,127 @@ impl Mux {
         self.batch.clear();
         self.batch_frames = 0;
     }
+}
 
-    /// Feed one input to engine `i` and execute every resulting output —
-    /// sends queued inline (so `GrantOutcome` feedback is synchronous, as
-    /// the engine contract requires), cap actuations into the reading model,
-    /// round trips into the RTT ledger.
+/// One engine's side of a reactor step: frames onto the shared wire,
+/// caps into the reading model, round trips into the RTT ledger.
+struct MuxEffects<'a> {
+    me: NodeId,
+    host: &'a mut Host,
+}
+
+impl Effects for MuxEffects<'_> {
+    fn send(&mut self, dst: NodeId, msg: &PeerMsg, _carried: Power, _grant: bool) -> Delivery {
+        if let PeerMsg::Request(req) = msg {
+            // Stamp at queue time so the sample covers the batch wait and
+            // the full kernel round trip. A dropped request still opens
+            // the engine's wait window — its stamp dies unresolved,
+            // exactly like the timeout it causes.
+            self.host
+                .pending_rtt
+                .insert((self.me.raw(), req.seq), Instant::now());
+        }
+        let wire = WireMsg::from_peer(msg, self.me);
+        if self.host.send_frame(dst, self.me, &wire) {
+            Delivery::Sent
+        } else {
+            Delivery::Dropped
+        }
+    }
+
+    fn actuate(&mut self, cap: Power) {
+        self.host.caps[self.me.index()] = cap;
+    }
+
+    fn power_lost(&mut self, amount: Power) {
+        self.host.lost += amount;
+    }
+
+    // Escrow is swept in bulk each round: per-entry timers are never armed.
+
+    fn resolved(&mut self, seq: u64, _amount: Power) {
+        if let Some(t0) = self.host.pending_rtt.remove(&(self.me.raw(), seq)) {
+            let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+            self.host.rtt_samples_ns.push(ns);
+        }
+    }
+}
+
+impl Mux {
+    fn new(cfg: &MuxConfig) -> io::Result<Self> {
+        let rx = UdpSocket::bind("127.0.0.1:0")?;
+        rx.set_read_timeout(Some(Duration::from_millis(3)))?;
+        let rx_addr = rx.local_addr()?;
+        let tx = UdpSocket::bind("127.0.0.1:0")?;
+        let tx_addr = tx.local_addr()?;
+        let engines = (0..cfg.nodes)
+            .map(|i| {
+                NodeEngine::new(
+                    NodeId::new(i as u32),
+                    cfg.nodes,
+                    EngineConfig::new(cfg.node),
+                    cfg.initial_cap,
+                    SharedObserver::noop(),
+                )
+            })
+            .collect();
+        let rngs = (0..cfg.nodes)
+            .map(|i| TestRng::seed_from_u64(node_stream(cfg.seed, i as u64)))
+            .collect();
+        let host = Host {
+            caps: vec![cfg.initial_cap; cfg.nodes],
+            tx,
+            tx_addr,
+            rx,
+            rx_addr,
+            // The shared inbox is the only destination: direction slot 0.
+            fates: cfg.fault.as_ref().map(|f| DirectionPlan::new(f, 0)),
+            batch: Vec::with_capacity(BATCH_CAP),
+            batch_frames: 0,
+            parked: BinaryHeap::new(),
+            parked_stamp: 0,
+            rx_buf: vec![0; BATCH_CAP].into_boxed_slice(),
+            rx_len: 0,
+            rx_pos: 0,
+            outstanding: 0,
+            pending_rtt: HashMap::new(),
+            frames_sent: 0,
+            frames_delivered: 0,
+            injected_drops: 0,
+            duplicated: 0,
+            datagrams_sent: 0,
+            wire_lost: 0,
+            send_failed: 0,
+            lost: Power::ZERO,
+            rtt_samples_ns: Vec::new(),
+        };
+        Ok(Mux {
+            engines,
+            rngs,
+            demands: (0..cfg.nodes)
+                .map(|i| cfg.demands[i % cfg.demands.len()])
+                .collect(),
+            scratch: Vec::new(),
+            events: 0,
+            host,
+        })
+    }
+
+    /// Feed one input to engine `i` and execute every resulting output
+    /// through [`MuxEffects`] — sends queued inline, so a grant's delivery
+    /// feedback is synchronous, as the engine contract requires.
     fn drive(&mut self, i: usize, now: SimTime, input: EngineInput) {
         self.events += 1;
-        let me = NodeId::new(i as u32);
-        let mut out = std::mem::take(&mut self.scratch);
-        out.clear();
-        self.engines[i].handle(now, input, &mut self.rngs[i], &mut out);
-        // Iterate by index: GrantOutcome feedback appends to the buffer.
-        let mut k = 0;
-        while k < out.len() {
-            let item = out[k].clone();
-            k += 1;
-            match item {
-                EngineOutput::Actuate { cap } => self.caps[i] = cap,
-                EngineOutput::Send {
-                    dst,
-                    msg: PeerMsg::Request(req),
-                    ..
-                } => {
-                    let wire = WireMsg::Request {
-                        seq: req.seq,
-                        urgent: req.urgent,
-                        alpha: req.alpha,
-                        from: Some(me),
-                        bid: req.bid,
-                    };
-                    // Stamp at queue time so the sample covers the batch
-                    // wait and the full kernel round trip. A dropped
-                    // request still opens the engine's wait window — its
-                    // stamp dies unresolved, exactly like the timeout it
-                    // causes.
-                    self.pending_rtt.insert((me.raw(), req.seq), Instant::now());
-                    self.send_frame(dst, me, &wire);
-                }
-                EngineOutput::Send {
-                    dst,
-                    msg: PeerMsg::Grant(g, digest),
-                    ..
-                } => {
-                    // Zero grant or escrow-dedup reminder: no ledger
-                    // weight travels, so no delivery feedback is needed.
-                    let wire = WireMsg::Grant {
-                        seq: g.seq,
-                        amount: g.amount,
-                        digest,
-                    };
-                    self.send_frame(dst, me, &wire);
-                }
-                EngineOutput::Send {
-                    dst,
-                    msg: PeerMsg::Ack(a, digest),
-                    ..
-                } => {
-                    // A dropped ack conserves: the amount already landed
-                    // in this cap; the granter's entry expires creditless.
-                    let wire = WireMsg::Ack { seq: a.seq, digest };
-                    self.send_frame(dst, me, &wire);
-                }
-                EngineOutput::SendGrant {
-                    dst,
-                    msg,
-                    amount,
-                    seq,
-                } => {
-                    let delivered = if let PeerMsg::Grant(g, digest) = msg {
-                        let wire = WireMsg::Grant {
-                            seq: g.seq,
-                            amount: g.amount,
-                            digest,
-                        };
-                        self.send_frame(dst, me, &wire)
-                    } else {
-                        // Unreachable: SendGrant always wraps a Grant.
-                        false
-                    };
-                    self.engines[i].handle(
-                        now,
-                        EngineInput::GrantOutcome {
-                            requester: dst,
-                            seq,
-                            amount,
-                            delivered,
-                        },
-                        &mut self.rngs[i],
-                        &mut out,
-                    );
-                }
-                // Escrow is swept in bulk each round.
-                EngineOutput::SetEscrowTimer { .. } => {}
-                EngineOutput::PowerLost { amount } => self.lost += amount,
-                EngineOutput::Resolved { seq, .. } => {
-                    if let Some(t0) = self.pending_rtt.remove(&(me.raw(), seq)) {
-                        let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                        self.rtt_samples_ns.push(ns);
-                    }
-                }
-            }
-        }
-        self.scratch = out;
+        let mut fx = MuxEffects {
+            me: NodeId::new(i as u32),
+            host: &mut self.host,
+        };
+        self.engines[i].step(now, input, &mut self.rngs[i], &mut self.scratch, &mut fx);
     }
 
     /// Dispatch one received frame to its destination engine.
     fn dispatch(&mut self, dst: NodeId, src: NodeId, msg: WireMsg, now: SimTime) {
-        self.frames_delivered += 1;
+        self.host.frames_delivered += 1;
         let peer_msg = match msg {
             WireMsg::Request {
                 seq,
@@ -605,35 +567,36 @@ impl Mux {
     /// remainder off as lost on the wire.
     fn drain_to(&mut self, low: usize, now: SimTime) {
         let mut empty_reads = 0u32;
-        while self.outstanding > low {
-            if let Some((dst, src, msg)) = next_frame(&self.rx_buf[..self.rx_len], &mut self.rx_pos)
+        while self.host.outstanding > low {
+            if let Some((dst, src, msg)) =
+                next_frame(&self.host.rx_buf[..self.host.rx_len], &mut self.host.rx_pos)
             {
                 // A frame for no hosted engine stays outstanding, so it
                 // is eventually booked as lost rather than delivered.
                 if dst.index() < self.engines.len() {
-                    self.outstanding -= 1;
+                    self.host.outstanding -= 1;
                     self.dispatch(dst, src, msg, now);
                 }
                 continue;
             }
-            self.flush();
-            self.rx_pos = 0;
-            self.rx_len = 0;
-            match self.rx.recv_from(&mut self.rx_buf) {
+            self.host.flush();
+            self.host.rx_pos = 0;
+            self.host.rx_len = 0;
+            match self.host.rx.recv_from(&mut self.host.rx_buf) {
                 // Only the shared tx socket speaks to this inbox; a
                 // stranger's datagram is ignored whole.
-                Ok((len, from)) if from == self.tx_addr => {
+                Ok((len, from)) if from == self.host.tx_addr => {
                     empty_reads = 0;
-                    self.rx_len = len;
+                    self.host.rx_len = len;
                 }
                 Ok(_) => {}
                 Err(_) => {
-                    if self.parked.is_empty() {
+                    if self.host.parked.is_empty() {
                         empty_reads += 1;
                     }
                     if empty_reads >= DRAIN_PATIENCE {
-                        self.wire_lost += self.outstanding as u64;
-                        self.outstanding = 0;
+                        self.host.wire_lost += self.host.outstanding as u64;
+                        self.host.outstanding = 0;
                         return;
                     }
                 }
@@ -664,9 +627,9 @@ pub fn run_multiplexed(cfg: &MuxConfig) -> io::Result<MuxSummary> {
             if mux.engines[i].escrow_len() > 0 {
                 mux.drive(i, now, EngineInput::SweepEscrow);
             }
-            let reading = mux.demands[i].min(mux.caps[i]);
+            let reading = mux.demands[i].min(mux.host.caps[i]);
             mux.drive(i, now, EngineInput::Tick { reading });
-            if mux.outstanding >= DRAIN_HIGH {
+            if mux.host.outstanding >= DRAIN_HIGH {
                 mux.drain_to(DRAIN_LOW, now);
             }
         }
@@ -674,28 +637,28 @@ pub fn run_multiplexed(cfg: &MuxConfig) -> io::Result<MuxSummary> {
         // the grants and acks that dispatching itself produces.
         mux.drain_to(0, now);
     }
-    let total_caps = mux.caps.iter().copied().sum();
+    let total_caps = mux.host.caps.iter().copied().sum();
     let total_pools = mux.engines.iter().map(|e| e.pool().available()).sum();
     let total_escrowed = mux.engines.iter().map(|e| e.escrowed_undelivered()).sum();
     Ok(MuxSummary {
         nodes: cfg.nodes,
         rounds: cfg.rounds,
-        frames_sent: mux.frames_sent,
-        frames_delivered: mux.frames_delivered,
-        injected_drops: mux.injected_drops,
-        duplicated: mux.duplicated,
-        datagrams_sent: mux.datagrams_sent,
-        wire_lost: mux.wire_lost,
-        send_failed: mux.send_failed,
+        frames_sent: mux.host.frames_sent,
+        frames_delivered: mux.host.frames_delivered,
+        injected_drops: mux.host.injected_drops,
+        duplicated: mux.host.duplicated,
+        datagrams_sent: mux.host.datagrams_sent,
+        wire_lost: mux.host.wire_lost,
+        send_failed: mux.host.send_failed,
         events: mux.events,
         total_caps,
         total_pools,
         total_escrowed,
-        lost: mux.lost,
+        lost: mux.host.lost,
         budget: mul_power(cfg.initial_cap, cfg.nodes as u64),
         wall_s: start.elapsed().as_secs_f64(),
         virtual_secs: SimDuration::from_nanos(period.as_nanos() * cfg.rounds).as_secs_f64(),
-        rtt_samples_ns: mux.rtt_samples_ns,
+        rtt_samples_ns: mux.host.rtt_samples_ns,
     })
 }
 
@@ -811,7 +774,7 @@ mod tests {
         push_frame(&mut valid, NodeId::new(1), NodeId::new(0), &ack(1));
         push_frame(&mut valid, NodeId::new(2), NodeId::new(0), &ack(2));
         stranger
-            .send_to(&valid, mux.rx_addr)
+            .send_to(&valid, mux.host.rx_addr)
             .expect("stranger sends");
         let datagrams = [
             vec![valid[0]],                           // lone length byte
@@ -820,14 +783,14 @@ mod tests {
             [valid.as_slice(), &[200; 210]].concat(), // oversized length
         ];
         for d in &datagrams {
-            mux.tx.send_to(d, mux.rx_addr).expect("tx sends");
+            mux.host.tx.send_to(d, mux.host.rx_addr).expect("tx sends");
         }
         // Acks for unknown grants produce no replies, so exactly the
         // valid frames of the reactor's own datagrams are outstanding.
-        mux.outstanding = 6;
+        mux.host.outstanding = 6;
         mux.drain_to(0, SimTime::ZERO);
-        assert_eq!(mux.frames_delivered, 6);
-        assert_eq!(mux.wire_lost, 0);
+        assert_eq!(mux.host.frames_delivered, 6);
+        assert_eq!(mux.host.wire_lost, 0);
         assert_eq!(mux.events, 6);
     }
 

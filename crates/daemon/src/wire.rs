@@ -45,7 +45,7 @@
 //! a hostile datagram cannot make a receiver loop over thousands of
 //! entries.
 
-use penelope_core::{SuspicionDigest, SuspicionEntry, MAX_DIGEST_ENTRIES};
+use penelope_core::{PeerMsg, SuspicionDigest, SuspicionEntry, MAX_DIGEST_ENTRIES};
 use penelope_units::{NodeId, Power};
 
 /// Protocol version byte for digest-free messages (the v1 format).
@@ -148,6 +148,30 @@ fn encode_digest(buf: &mut Vec<u8>, digest: &SuspicionDigest) {
 }
 
 impl WireMsg {
+    /// The wire form of an engine message sent by node `from`. Requests
+    /// name their sender (v2 and later), so a grant can find it again
+    /// after it rebinds.
+    pub fn from_peer(msg: &PeerMsg, from: NodeId) -> Self {
+        match msg {
+            PeerMsg::Request(req) => WireMsg::Request {
+                seq: req.seq,
+                urgent: req.urgent,
+                alpha: req.alpha,
+                from: Some(from),
+                bid: req.bid,
+            },
+            PeerMsg::Grant(g, digest) => WireMsg::Grant {
+                seq: g.seq,
+                amount: g.amount,
+                digest: digest.clone(),
+            },
+            PeerMsg::Ack(a, digest) => WireMsg::Ack {
+                seq: a.seq,
+                digest: digest.clone(),
+            },
+        }
+    }
+
     /// Encode into a fresh buffer.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(MAX_WIRE_LEN);

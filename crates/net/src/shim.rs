@@ -25,10 +25,10 @@
 //! Faults apply on the **send** side only: a drop decision is made
 //! before the datagram reaches the OS, and reported to the caller as
 //! [`SendStatus::Dropped`]. That knowledge is the point — a daemon that
-//! knows its grant never left can feed `delivered = false` into the
-//! engine's `GrantOutcome`, escrow the amount as undelivered, and
-//! reclaim it at the deadline, exactly as the simulator's send-side loss
-//! model does. Sends to unregistered destinations pass through unfaulted.
+//! knows its grant never left tells the engine so, and the engine
+//! escrows the amount as undelivered and reclaims it at the deadline,
+//! exactly as under the simulator's send-side loss model. Sends to
+//! unregistered destinations pass through unfaulted.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::io;

@@ -227,10 +227,15 @@ mod tests {
     use super::*;
 
     /// Build a synthetic powercap tree with `n` package domains plus a
-    /// decoy subdomain, returning its root.
+    /// decoy subdomain, returning its root. Each call gets its own
+    /// directory: tests run in parallel and must not share one.
     fn fake_tree(n: usize) -> PathBuf {
-        let root =
-            std::env::temp_dir().join(format!("penelope-rapl-test-{}-{n}", std::process::id()));
+        static TREES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let tree = TREES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let root = std::env::temp_dir().join(format!(
+            "penelope-rapl-test-{}-{tree}-{n}",
+            std::process::id()
+        ));
         let _ = fs::remove_dir_all(&root);
         for i in 0..n {
             let d = root.join(format!("intel-rapl:{i}"));

@@ -7,8 +7,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use penelope_core::{
-    fair_assignment, DeciderConfig, DiscoveryStrategy, EngineConfig, EngineInput, EngineOutput,
-    NodeEngine, NodeParams, PeerMsg,
+    fair_assignment, DeciderConfig, Delivery, DiscoveryStrategy, Effects, EngineConfig,
+    EngineInput, EngineOutput, NodeEngine, NodeParams, PeerMsg,
 };
 use penelope_net::{Envelope, ThreadEndpoint, ThreadNet};
 use penelope_power::RaplConfig;
@@ -110,6 +110,44 @@ impl Emitter {
             kind: kind(),
         });
     }
+}
+
+/// One Penelope thread's side of an engine step: the thread-net and the
+/// node's hardware. Pool endpoints are node ids `0..n` and decider
+/// endpoints `n..2n`, so grants (replies to a requester's decider) are
+/// offset by `n` while requests and acks address pools by logical id.
+struct ThreadEffects<'a> {
+    ep: &'a ThreadEndpoint<PeerMsg>,
+    n: usize,
+    hw: &'a NodeHardware,
+    /// The seq of a request sent during this step.
+    awaiting: Option<u64>,
+}
+
+impl Effects for ThreadEffects<'_> {
+    /// The thread-net refuses messages to dead endpoints: a known drop.
+    fn send(&mut self, dst: NodeId, msg: &PeerMsg, _carried: Power, _grant: bool) -> Delivery {
+        let to = match msg {
+            PeerMsg::Request(req) => {
+                self.awaiting = Some(req.seq);
+                dst
+            }
+            PeerMsg::Grant(..) => NodeId::new((self.n + dst.index()) as u32),
+            PeerMsg::Ack(..) => dst,
+        };
+        if self.ep.send(to, msg.clone()) {
+            Delivery::Sent
+        } else {
+            Delivery::Dropped
+        }
+    }
+
+    fn actuate(&mut self, cap: Power) {
+        self.hw.set_cap(cap);
+    }
+
+    /// The threaded runtime keeps no conservation ledger of its own.
+    fn power_lost(&mut self, _amount: Power) {}
 }
 
 /// Entry points for running a whole cluster on real threads.
@@ -235,117 +273,56 @@ impl ThreadedCluster {
         for (i, ep) in pool_eps.into_iter().enumerate() {
             let engine = Arc::clone(&engines[i]);
             let stop = Arc::clone(&shutdown);
-            let em = Emitter::new(
-                cfg.observer.clone(),
-                NodeId::new(i as u32),
-                cfg.node.decider.period,
-            );
+            let hw_i = Arc::clone(&hw[i]);
             let clock = clock.clone();
             pool_threads.push(thread::spawn(move || -> ThreadEndpoint<PeerMsg> {
                 // The engine owns the granter-side escrow: every non-zero
                 // grant is held, keyed by requester id and seq echo, until
                 // its ack; an undeliverable grant's power flows back into
                 // the pool at the deadline instead of silently vanishing.
-                // The rng is demanded by the `handle` signature but never
+                // The rng is demanded by the `step` signature but never
                 // drawn on the serve path.
                 let mut rng = TestRng::seed_from_u64(0);
                 let mut outputs: Vec<EngineOutput> = Vec::new();
                 while !stop.load(Ordering::Relaxed) {
+                    let mut fx = ThreadEffects {
+                        ep: &ep,
+                        n,
+                        hw: &hw_i,
+                        awaiting: None,
+                    };
                     // Bulk escrow expiry each wake; the per-entry timers
                     // the engine requests are never armed on this
-                    // substrate. Sweeps produce no outputs.
-                    engine.lock().unwrap().handle(
+                    // substrate.
+                    let sweep = EngineInput::SweepEscrow;
+                    engine.lock().unwrap().step(
                         clock.now(),
-                        EngineInput::SweepEscrow,
+                        sweep,
                         &mut rng,
                         &mut outputs,
+                        &mut fx,
                     );
-                    if let Some(env) = ep.recv_timeout(Duration::from_millis(5)) {
-                        let now = clock.now();
-                        match env.msg {
-                            PeerMsg::Request(req) => {
-                                // `req.from` carries the logical node id;
-                                // replies route to that node's *decider*
-                                // endpoint (`n..2n`), so grants and
-                                // requests never share a queue.
-                                let mut eng = engine.lock().unwrap();
-                                eng.handle(
-                                    now,
-                                    EngineInput::Msg {
-                                        src: req.from,
-                                        msg: PeerMsg::Request(req),
-                                    },
-                                    &mut rng,
-                                    &mut outputs,
-                                );
-                                let mut k = 0;
-                                while k < outputs.len() {
-                                    let out = outputs[k].clone();
-                                    k += 1;
-                                    match out {
-                                        // A zero grant (empty-handed reply
-                                        // or ack-raced reminder) is
-                                        // fire-and-forget.
-                                        EngineOutput::Send { dst, msg, carried } => {
-                                            let _ =
-                                                ep.send(NodeId::new((n + dst.index()) as u32), msg);
-                                            em.emit(now, || EventKind::MsgSent { dst, carried });
-                                        }
-                                        EngineOutput::SendGrant {
-                                            dst,
-                                            msg,
-                                            amount,
-                                            seq,
-                                        } => {
-                                            let delivered =
-                                                ep.send(NodeId::new((n + dst.index()) as u32), msg);
-                                            em.emit(now, || EventKind::MsgSent {
-                                                dst,
-                                                carried: amount,
-                                            });
-                                            // The feedback appends the
-                                            // engine's escrow bookkeeping
-                                            // to this same buffer.
-                                            eng.handle(
-                                                now,
-                                                EngineInput::GrantOutcome {
-                                                    requester: dst,
-                                                    seq,
-                                                    amount,
-                                                    delivered,
-                                                },
-                                                &mut rng,
-                                                &mut outputs,
-                                            );
-                                        }
-                                        EngineOutput::SetEscrowTimer { .. } => {}
-                                        EngineOutput::Actuate { .. }
-                                        | EngineOutput::PowerLost { .. }
-                                        | EngineOutput::Resolved { .. } => {}
-                                    }
-                                }
-                                outputs.clear();
-                            }
-                            PeerMsg::Ack(a, digest) => {
-                                // The transfer committed; drop the claim.
-                                // Acks arrive from decider endpoints
-                                // (`n..2n`); translate back to the logical
-                                // id the escrow is keyed by.
-                                let src = NodeId::new(env.src.index().saturating_sub(n) as u32);
-                                engine.lock().unwrap().handle(
-                                    now,
-                                    EngineInput::Msg {
-                                        src,
-                                        msg: PeerMsg::Ack(a, digest),
-                                    },
-                                    &mut rng,
-                                    &mut outputs,
-                                );
-                                outputs.clear();
-                            }
-                            PeerMsg::Grant(..) => {}
-                        }
-                    }
+                    let Some(env) = ep.recv_timeout(Duration::from_millis(5)) else {
+                        continue;
+                    };
+                    let src = match &env.msg {
+                        // `req.from` carries the logical node id; replies
+                        // route to that node's *decider* endpoint.
+                        PeerMsg::Request(req) => req.from,
+                        // Acks arrive from decider endpoints (`n..2n`);
+                        // translate back to the logical id the escrow is
+                        // keyed by.
+                        PeerMsg::Ack(..) => NodeId::new(env.src.index().saturating_sub(n) as u32),
+                        PeerMsg::Grant(..) => continue,
+                    };
+                    let input = EngineInput::Msg { src, msg: env.msg };
+                    engine.lock().unwrap().step(
+                        clock.now(),
+                        input,
+                        &mut rng,
+                        &mut outputs,
+                        &mut fx,
+                    );
                 }
                 ep
             }));
@@ -376,32 +353,18 @@ impl ThreadedCluster {
                     // probe interval re-admits them; fault-free this draws
                     // exactly the historical uniform pick), Algorithm 1,
                     // and the CapActuated sample — all inside the engine.
-                    engine.lock().unwrap().handle(
-                        now,
-                        EngineInput::Tick { reading },
-                        &mut rng,
-                        &mut outputs,
-                    );
-                    let mut await_seq: Option<u64> = None;
-                    for out in outputs.drain(..) {
-                        match out {
-                            EngineOutput::Actuate { cap } => hw_i.set_cap(cap),
-                            EngineOutput::Send { dst, msg, .. } => {
-                                if let PeerMsg::Request(req) = &msg {
-                                    await_seq = Some(req.seq);
-                                }
-                                // The target's pool endpoint shares its
-                                // logical id, so `dst` routes as-is.
-                                let _ = ep.send(dst, msg);
-                                em.emit(now, || EventKind::MsgSent {
-                                    dst,
-                                    carried: Power::ZERO,
-                                });
-                            }
-                            _ => {}
-                        }
-                    }
-                    if let Some(seq) = await_seq {
+                    let mut fx = ThreadEffects {
+                        ep: &ep,
+                        n,
+                        hw: &hw_i,
+                        awaiting: None,
+                    };
+                    let tick = EngineInput::Tick { reading };
+                    engine
+                        .lock()
+                        .unwrap()
+                        .step(now, tick, &mut rng, &mut outputs, &mut fx);
+                    if let Some(seq) = fx.awaiting {
                         // Block for the pool's reply, as the paper's
                         // decider does — but without discarding whatever
                         // else arrives meanwhile. A late grant (an older
@@ -436,32 +399,19 @@ impl ThreadedCluster {
                                     let g_seq = g.seq;
                                     // Grants arrive from pool endpoints
                                     // (`0..n`), so `env.src` is already
-                                    // the granter's logical id.
-                                    engine.lock().unwrap().handle(
+                                    // the granter's logical id. The engine
+                                    // actuates the new cap and acks that
+                                    // pool endpoint so it releases its
+                                    // escrow.
+                                    let msg = PeerMsg::Grant(g, digest);
+                                    let input = EngineInput::Msg { src: env.src, msg };
+                                    engine.lock().unwrap().step(
                                         now2,
-                                        EngineInput::Msg {
-                                            src: env.src,
-                                            msg: PeerMsg::Grant(g, digest),
-                                        },
+                                        input,
                                         &mut rng,
                                         &mut outputs,
+                                        &mut fx,
                                     );
-                                    for out in outputs.drain(..) {
-                                        match out {
-                                            EngineOutput::Actuate { cap } => hw_i.set_cap(cap),
-                                            // The commit ack, addressed to
-                                            // the granter's pool endpoint
-                                            // so it releases its escrow.
-                                            EngineOutput::Send { dst, msg, .. } => {
-                                                let _ = ep.send(dst, msg);
-                                                em.emit(now2, || EventKind::MsgSent {
-                                                    dst,
-                                                    carried: Power::ZERO,
-                                                });
-                                            }
-                                            _ => {}
-                                        }
-                                    }
                                     if g_seq == seq {
                                         break;
                                     }
@@ -752,16 +702,6 @@ impl ThreadedClusterBuilder {
         self.cfg.node = engine.node;
         self.cfg.discovery = engine.discovery;
         self.cfg.seq_floor = engine.seq_floor;
-        self
-    }
-
-    /// The shared per-node protocol knobs (decider, pool, safe range).
-    #[deprecated(
-        note = "use engine_config(EngineConfig::new(node)) — one config type across sim, \
-                runtime and daemon"
-    )]
-    pub fn node_params(mut self, node: NodeParams) -> Self {
-        self.cfg.node = node;
         self
     }
 

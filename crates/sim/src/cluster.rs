@@ -1,9 +1,10 @@
 //! The cluster simulator.
 
 use penelope_core::{
-    fair_assignment, EngineConfig, EngineInput, EngineOutput, NodeEngine, PeerMsg,
+    fair_assignment, Delivery, Effects, EngineConfig, EngineInput, EngineOutput, NodeEngine,
+    PeerMsg,
 };
-use penelope_metrics::RedistributionTracker;
+use penelope_metrics::{OscillationStats, RedistributionTracker, TurnaroundStats};
 use penelope_net::{RouteOutcome, SimNet};
 use penelope_power::{PowerInterface, SimulatedRapl};
 use penelope_slurm::{ClientAction, PowerServer, ServerGrant, ServerQueue, SlurmClient, SlurmMsg};
@@ -13,6 +14,7 @@ use penelope_trace::{EventKind, FanoutObserver, SharedObserver, TraceEvent};
 use penelope_units::{NodeId, Power, SimDuration, SimTime};
 use penelope_workload::{Profile, WorkloadState};
 
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::config::{ClusterConfig, SystemKind};
@@ -49,13 +51,12 @@ pub struct ClusterSim {
     /// differently than it did before the ack protocol existed.
     ack_rng: TestRng,
     nodes: NodeTable,
-    /// Reusable scratch buffer for engine outputs — taken, driven, cleared
-    /// and put back on every engine interaction so the hot path never
-    /// allocates.
+    /// Reusable scratch buffer for engine outputs, lent to every
+    /// `NodeEngine::step` so the hot path never allocates.
     engine_out: Vec<EngineOutput>,
     servers: Vec<ServerSide>,
     ledger: Ledger,
-    redistribution: Option<(RedistributionTracker, std::collections::HashSet<NodeId>)>,
+    redistribution: Option<(RedistributionTracker, HashSet<NodeId>)>,
     finished_count: usize,
     dead: Vec<NodeId>,
     dead_unfinished: usize,
@@ -433,8 +434,8 @@ impl ClusterSim {
         }
 
         // Run the manager. Penelope nodes are driven through the shared
-        // `NodeEngine`: one `Tick` input, then the outputs are mapped onto
-        // the event queue / network / RAPL by `drive_engine`.
+        // `NodeEngine`: one `Tick` step, its outputs mapped onto the event
+        // queue / network / RAPL by `SimEffects`.
         enum Outgoing {
             None,
             SlurmReport {
@@ -447,18 +448,17 @@ impl ClusterSim {
             },
         }
         let mut outgoing = Outgoing::None;
-        let mut engine_out: Option<Vec<EngineOutput>> = None;
         match &mut self.nodes.manager[idx] {
             Manager::Fair => {}
-            Manager::Penelope { engine, .. } => {
-                let mut outputs = std::mem::take(&mut self.engine_out);
-                engine.handle(
-                    now,
-                    EngineInput::Tick { reading },
-                    &mut self.nodes.rng[idx],
-                    &mut outputs,
-                );
-                engine_out = Some(outputs);
+            Manager::Penelope { .. } => {
+                // The engine emits `CapActuated` itself; its actuation
+                // records oscillation (tick path only) and the rest maps
+                // onto the queue and the network.
+                self.step_engine(id, EngineInput::Tick { reading }, true);
+                let next = now + self.cfg.node.decider.period;
+                self.nodes.next_tick_at[idx] = next;
+                self.queue.push(next, Event::Tick(id));
+                return;
             }
             Manager::Slurm { client } => {
                 let had_unanswered = !self.nodes.pending[idx].is_empty();
@@ -486,19 +486,6 @@ impl ClusterSim {
                 let cap = client.cap();
                 self.nodes.rapl[idx].set_cap(cap, now);
             }
-        }
-
-        if let Some(mut outputs) = engine_out {
-            // The engine emitted `CapActuated` itself; its `Actuate` output
-            // records oscillation (tick path) and the rest map onto the
-            // queue and the network.
-            self.drive_engine(id, &mut outputs, 0, true);
-            outputs.clear();
-            self.engine_out = outputs;
-            let next = now + self.cfg.node.decider.period;
-            self.nodes.next_tick_at[idx] = next;
-            self.queue.push(next, Event::Tick(id));
-            return;
         }
 
         // Per-tick telemetry. `CapActuated` is the one event every manager
@@ -590,26 +577,11 @@ impl ClusterSim {
                     src,
                     carried: g.amount,
                 });
-                let now = self.now;
-                let mut outputs = std::mem::take(&mut self.engine_out);
-                let di = dst.index();
-                let Manager::Penelope { engine, .. } = &mut self.nodes.manager[di] else {
-                    self.engine_out = outputs;
-                    self.ledger.lose_direct(g.amount);
-                    return;
-                };
-                engine.handle(
-                    now,
-                    EngineInput::Msg {
-                        src,
-                        msg: PeerMsg::Grant(g, digest),
-                    },
-                    &mut self.nodes.rng[di],
-                    &mut outputs,
-                );
-                self.drive_engine(dst, &mut outputs, 0, false);
-                outputs.clear();
-                self.engine_out = outputs;
+                let amount = g.amount;
+                let msg = PeerMsg::Grant(g, digest);
+                if !self.step_engine(dst, EngineInput::Msg { src, msg }, false) {
+                    self.ledger.lose_direct(amount);
+                }
             }
             PeerMsg::Ack(a, digest) => {
                 let granter = env.dst;
@@ -620,23 +592,8 @@ impl ClusterSim {
                     src: env.src,
                     carried: Power::ZERO,
                 });
-                let now = self.now;
-                let gi = granter.index();
-                if let Manager::Penelope { engine, .. } = &mut self.nodes.manager[gi] {
-                    let mut outputs = std::mem::take(&mut self.engine_out);
-                    engine.handle(
-                        now,
-                        EngineInput::Msg {
-                            src: env.src,
-                            msg: PeerMsg::Ack(a, digest),
-                        },
-                        &mut self.nodes.rng[gi],
-                        &mut outputs,
-                    );
-                    self.drive_engine(granter, &mut outputs, 0, false);
-                    outputs.clear();
-                    self.engine_out = outputs;
-                }
+                let msg = PeerMsg::Ack(a, digest);
+                self.step_engine(granter, EngineInput::Msg { src: env.src, msg }, false);
             }
         }
     }
@@ -651,25 +608,8 @@ impl ClusterSim {
         }
         // The engine owns the whole serve path: retransmit idempotence via
         // its escrow, urgency bookkeeping, and the grant/zero-grant reply.
-        let now = self.now;
-        let mut outputs = std::mem::take(&mut self.engine_out);
-        let pi = pool_node.index();
-        let Manager::Penelope { engine, .. } = &mut self.nodes.manager[pi] else {
-            self.engine_out = outputs;
-            return;
-        };
-        engine.handle(
-            now,
-            EngineInput::Msg {
-                src: env.src,
-                msg: PeerMsg::Request(req),
-            },
-            &mut self.nodes.rng[pi],
-            &mut outputs,
-        );
-        self.drive_engine(pool_node, &mut outputs, 0, false);
-        outputs.clear();
-        self.engine_out = outputs;
+        let msg = PeerMsg::Request(req);
+        self.step_engine(pool_node, EngineInput::Msg { src: env.src, msg }, false);
     }
 
     fn handle_deliver_slurm(&mut self, env: penelope_net::Envelope<SlurmMsg>) {
@@ -742,7 +682,7 @@ impl ClusterSim {
                     released,
                 );
             }
-            self.credit_redistribution(dst, g.amount);
+            credit_redistribution(&mut self.redistribution, now, dst, g.amount);
         }
     }
 
@@ -784,20 +724,11 @@ impl ClusterSim {
         if !self.is_alive(granter) {
             return; // the escrow was drained (and booked lost) at death
         }
-        let now = self.now;
-        let gi = granter.index();
-        if let Manager::Penelope { engine, .. } = &mut self.nodes.manager[gi] {
-            let mut outputs = std::mem::take(&mut self.engine_out);
-            engine.handle(
-                now,
-                EngineInput::EscrowDeadline { requester, seq },
-                &mut self.nodes.rng[gi],
-                &mut outputs,
-            );
-            self.drive_engine(granter, &mut outputs, 0, false);
-            outputs.clear();
-            self.engine_out = outputs;
-        }
+        self.step_engine(
+            granter,
+            EngineInput::EscrowDeadline { requester, seq },
+            false,
+        );
     }
 
     fn handle_fault(&mut self, action: FaultAction) {
@@ -925,162 +856,40 @@ impl ClusterSim {
     // Routing
     // ------------------------------------------------------------------
 
-    fn route_peer(&mut self, src: NodeId, dst: NodeId, msg: PeerMsg, carried: Power) {
-        if !carried.is_zero() {
-            self.ledger.depart(carried);
-        }
-        self.emit(src, || EventKind::MsgSent { dst, carried });
-        match self.net.route(src, dst, msg, self.now, &mut self.net_rng) {
-            RouteOutcome::Deliver(env) => {
-                self.queue.push(env.deliver_at, Event::DeliverPeer(env));
-            }
-            _ => {
-                self.emit(src, || EventKind::MsgDropped { dst, carried });
-                if !carried.is_zero() {
-                    self.ledger.lose_in_flight(carried);
-                }
-            }
-        }
-    }
-
-    /// Map one batch of [`NodeEngine`] outputs for node `id` onto the
-    /// simulator's substrate: the event queue, the lossy network, RAPL,
-    /// and the conservation ledger.
-    ///
-    /// The buffer is iterated by index because executing a `SendGrant`
-    /// feeds the delivery outcome *back into the engine*, which appends
-    /// its escrow bookkeeping (`SetEscrowTimer`, `GrantEscrowed` trace
-    /// event) to the same buffer mid-iteration — the sans-IO equivalent of
-    /// the old `send_escrowed_grant` helper.
-    ///
-    /// `tick` marks the once-per-period path: only there does an `Actuate`
-    /// also record an oscillation sample, matching the old per-tick
-    /// telemetry (grant-path actuations adjust the cap silently).
-    fn drive_engine(
-        &mut self,
-        id: NodeId,
-        outputs: &mut Vec<EngineOutput>,
-        start: usize,
-        tick: bool,
-    ) {
-        let mut i = start;
-        while i < outputs.len() {
-            let out = outputs[i].clone();
-            i += 1;
-            match out {
-                EngineOutput::Actuate { cap } => {
-                    let now = self.now;
-                    let i = id.index();
-                    self.nodes.rapl[i].set_cap(cap, now);
-                    if tick {
-                        self.nodes.oscillation[i].record(cap);
-                    }
-                }
-                EngineOutput::Send { dst, msg, carried } => match &msg {
-                    // Acks ride the dedicated `ack_rng` stream so loss-free
-                    // runs draw exactly the same `net_rng` sequence they
-                    // did before the ack protocol existed. A dropped ack is
-                    // not retried: the granter's `AwaitingAck` entry simply
-                    // expires without credit.
-                    PeerMsg::Ack(a, _) => {
-                        let seq = a.seq;
-                        self.emit(id, || EventKind::MsgSent {
-                            dst,
-                            carried: Power::ZERO,
-                        });
-                        match self.net.route(id, dst, msg, self.now, &mut self.ack_rng) {
-                            RouteOutcome::Deliver(env) => {
-                                self.queue.push(env.deliver_at, Event::DeliverPeer(env));
-                            }
-                            _ => {
-                                self.emit(id, || EventKind::AckDropped { dst, seq });
-                            }
-                        }
-                    }
-                    PeerMsg::Request(req) => {
-                        // A retransmit reuses the seq: keep the original
-                        // send time so turnaround measures the full wait.
-                        let seq = req.seq;
-                        let now = self.now;
-                        self.nodes.pending[id.index()].entry(seq).or_insert(now);
-                        self.route_peer(id, dst, msg, carried);
-                    }
-                    PeerMsg::Grant(..) => {
-                        self.route_peer(id, dst, msg, carried);
-                    }
-                },
-                EngineOutput::SendGrant {
-                    dst,
-                    msg,
-                    amount,
-                    seq,
-                } => {
-                    // A non-zero grant's amount is already debited from the
-                    // pool; the ledger only `depart`s when the transport
-                    // actually carries it — a grant known-dropped at send
-                    // keeps its accounting weight on the granter (as an
-                    // undelivered escrow entry) instead of being booked as
-                    // permanently lost, the §3.2 atomicity fix for lossy
-                    // networks. The engine learns the outcome immediately
-                    // and escrows accordingly.
-                    self.emit(id, || EventKind::MsgSent {
-                        dst,
-                        carried: amount,
-                    });
-                    let delivered = match self.net.route(id, dst, msg, self.now, &mut self.net_rng)
-                    {
-                        RouteOutcome::Deliver(env) => {
-                            self.ledger.depart(amount);
-                            self.queue.push(env.deliver_at, Event::DeliverPeer(env));
-                            true
-                        }
-                        _ => {
-                            self.emit(id, || EventKind::MsgDropped {
-                                dst,
-                                carried: amount,
-                            });
-                            false
-                        }
-                    };
-                    let now = self.now;
-                    let i = id.index();
-                    if let Manager::Penelope { engine, .. } = &mut self.nodes.manager[i] {
-                        engine.handle(
-                            now,
-                            EngineInput::GrantOutcome {
-                                requester: dst,
-                                seq,
-                                amount,
-                                delivered,
-                            },
-                            &mut self.nodes.rng[i],
-                            outputs,
-                        );
-                    }
-                }
-                EngineOutput::SetEscrowTimer { requester, seq, at } => {
-                    self.queue.push(
-                        at,
-                        Event::EscrowTimeout {
-                            granter: id,
-                            requester,
-                            seq,
-                        },
-                    );
-                }
-                EngineOutput::PowerLost { amount } => {
-                    self.ledger.lose_direct(amount);
-                }
-                EngineOutput::Resolved { seq, amount } => {
-                    let now = self.now;
-                    let i = id.index();
-                    if let Some(sent) = self.nodes.pending[i].remove(&seq) {
-                        self.nodes.turnaround[i].record(now.saturating_since(sent));
-                    }
-                    self.credit_redistribution(id, amount);
-                }
-            }
-        }
+    /// Step node `id`'s engine through one input, its outputs mapped
+    /// onto the simulator by [`SimEffects`]. `tick` marks the
+    /// once-per-period path: only there does an actuation also record an
+    /// oscillation sample (grant-path actuations adjust the cap
+    /// silently). Returns `false`, doing nothing, if `id` runs no engine.
+    fn step_engine(&mut self, id: NodeId, input: EngineInput, tick: bool) -> bool {
+        let i = id.index();
+        let nodes = &mut self.nodes;
+        let Manager::Penelope { engine, .. } = &mut nodes.manager[i] else {
+            return false;
+        };
+        let mut fx = SimEffects {
+            id,
+            now: self.now,
+            tick,
+            queue: &mut self.queue,
+            net: &mut self.net,
+            net_rng: &mut self.net_rng,
+            ack_rng: &mut self.ack_rng,
+            ledger: &mut self.ledger,
+            rapl: &mut nodes.rapl[i],
+            oscillation: &mut nodes.oscillation[i],
+            pending: &mut nodes.pending[i],
+            turnaround: &mut nodes.turnaround[i],
+            redistribution: &mut self.redistribution,
+        };
+        engine.step(
+            self.now,
+            input,
+            &mut nodes.rng[i],
+            &mut self.engine_out,
+            &mut fx,
+        );
+        true
     }
 
     fn route_slurm(&mut self, src: NodeId, dst: NodeId, msg: SlurmMsg, carried: Power) {
@@ -1115,15 +924,6 @@ impl ClusterSim {
     fn active_server_for(&self, node: NodeId) -> NodeId {
         let idx = self.nodes.active_server[node.index()].min(self.servers.len() - 1);
         self.servers[idx].id
-    }
-
-    fn credit_redistribution(&mut self, recipient: NodeId, amount: Power) {
-        let Some((tracker, recipients)) = &mut self.redistribution else {
-            return;
-        };
-        if recipients.contains(&recipient) {
-            tracker.record(self.now, amount);
-        }
     }
 
     fn live_total(&self) -> Power {
@@ -1210,6 +1010,105 @@ impl ClusterSim {
                 .trace
                 .map(|t| Arc::try_unwrap(t).unwrap_or_else(|arc| (*arc).clone())),
         }
+    }
+}
+
+/// Book power that reached `recipient` against the redistribution
+/// tracker, if one is installed and `recipient` is one it follows.
+fn credit_redistribution(
+    redistribution: &mut Option<(RedistributionTracker, HashSet<NodeId>)>,
+    now: SimTime,
+    recipient: NodeId,
+    amount: Power,
+) {
+    if let Some((tracker, recipients)) = redistribution {
+        if recipients.contains(&recipient) {
+            tracker.record(now, amount);
+        }
+    }
+}
+
+/// The simulator's side of one engine step for node `id`: the event
+/// queue, the lossy network, RAPL, the conservation ledger and the
+/// turnaround/redistribution metrics.
+struct SimEffects<'a> {
+    id: NodeId,
+    now: SimTime,
+    tick: bool,
+    queue: &'a mut EventQueue,
+    net: &'a mut SimNet,
+    net_rng: &'a mut TestRng,
+    ack_rng: &'a mut TestRng,
+    ledger: &'a mut Ledger,
+    rapl: &'a mut SimulatedRapl<WorkloadState>,
+    oscillation: &'a mut OscillationStats,
+    pending: &'a mut HashMap<u64, SimTime>,
+    turnaround: &'a mut TurnaroundStats,
+    redistribution: &'a mut Option<(RedistributionTracker, HashSet<NodeId>)>,
+}
+
+impl Effects for SimEffects<'_> {
+    fn send(&mut self, dst: NodeId, msg: &PeerMsg, carried: Power, grant: bool) -> Delivery {
+        // Acks ride the dedicated `ack_rng` stream so loss-free runs draw
+        // exactly the same `net_rng` sequence they did before the ack
+        // protocol existed. A dropped ack is not retried: the granter's
+        // `AwaitingAck` entry simply expires without credit.
+        let rng = match msg {
+            PeerMsg::Ack(..) => &mut *self.ack_rng,
+            PeerMsg::Request(req) => {
+                // A retransmit reuses the seq: keep the original send
+                // time so turnaround measures the full wait.
+                self.pending.entry(req.seq).or_insert(self.now);
+                &mut *self.net_rng
+            }
+            PeerMsg::Grant(..) => &mut *self.net_rng,
+        };
+        match self.net.route(self.id, dst, msg.clone(), self.now, rng) {
+            RouteOutcome::Deliver(env) => {
+                // A non-zero grant's amount is already debited from the
+                // pool; the ledger only `depart`s it once the transport
+                // carries it — a grant known-dropped at send keeps its
+                // accounting weight on the granter (as an undelivered
+                // escrow entry) instead of being booked as lost, the §3.2
+                // atomicity fix for lossy networks.
+                if grant {
+                    self.ledger.depart(carried);
+                }
+                self.queue.push(env.deliver_at, Event::DeliverPeer(env));
+                Delivery::Sent
+            }
+            _ => Delivery::Dropped,
+        }
+    }
+
+    fn actuate(&mut self, cap: Power) {
+        self.rapl.set_cap(cap, self.now);
+        if self.tick {
+            self.oscillation.record(cap);
+        }
+    }
+
+    fn power_lost(&mut self, amount: Power) {
+        self.ledger.lose_direct(amount);
+    }
+
+    fn set_escrow_timer(&mut self, requester: NodeId, seq: u64, at: SimTime) {
+        let granter = self.id;
+        self.queue.push(
+            at,
+            Event::EscrowTimeout {
+                granter,
+                requester,
+                seq,
+            },
+        );
+    }
+
+    fn resolved(&mut self, seq: u64, amount: Power) {
+        if let Some(sent) = self.pending.remove(&seq) {
+            self.turnaround.record(self.now.saturating_since(sent));
+        }
+        credit_redistribution(self.redistribution, self.now, self.id, amount);
     }
 }
 
@@ -1305,16 +1204,6 @@ impl ClusterSimBuilder {
         self.cfg.node = engine.node;
         self.cfg.discovery = engine.discovery;
         self.cfg.seq_floor = engine.seq_floor;
-        self
-    }
-
-    /// The shared per-node protocol knobs (decider, pool, safe range).
-    #[deprecated(
-        note = "use engine_config(EngineConfig::new(node)) — one config type across sim, \
-                runtime and daemon"
-    )]
-    pub fn node_params(mut self, node: penelope_core::NodeParams) -> Self {
-        self.cfg.node = node;
         self
     }
 

@@ -12,6 +12,9 @@
 //!   served but never applied).
 //! * [`check_urgency_alternation`] — per pool, `UrgencyRaised` and
 //!   consuming `UrgencyCleared` strictly alternate.
+//! * [`check_transport_pairing`] — every `MsgDropped`, `AckDropped` and
+//!   `SendFailed` directly follows, on its own node, the `MsgSent` of the
+//!   attempt it reports.
 //! * [`normalize_protocol`] — strip transport (`Msg*`) events and
 //!   timestamps, leaving the per-node protocol-decision sequence that must
 //!   match across substrates for the same seed.
@@ -127,6 +130,41 @@ pub fn check_urgency_alternation(events: &[TraceEvent]) -> Vec<String> {
     violations
 }
 
+/// Check the engine's one transport rule: each send emits `MsgSent`, then
+/// at most one of `MsgDropped`, `AckDropped` or `SendFailed` for the same
+/// destination. So every such failure event must directly follow — among
+/// its own node's events, which one thread emits in order — a `MsgSent`
+/// from that node to the same `dst` (with the same power, for
+/// `MsgDropped`). Returns one message per orphaned failure event.
+pub fn check_transport_pairing(events: &[TraceEvent]) -> Vec<String> {
+    let mut violations = Vec::new();
+    let mut last: HashMap<u32, EventKind> = HashMap::new();
+    for ev in events {
+        let node = ev.node.raw();
+        let previous = last.insert(node, ev.kind);
+        let paired = match ev.kind {
+            EventKind::MsgDropped { dst, carried } => matches!(
+                previous,
+                Some(EventKind::MsgSent { dst: d, carried: c }) if d == dst && c == carried
+            ),
+            EventKind::AckDropped { dst, .. } | EventKind::SendFailed { dst } => matches!(
+                previous,
+                Some(EventKind::MsgSent { dst: d, .. }) if d == dst
+            ),
+            _ => true,
+        };
+        if !paired {
+            violations.push(format!(
+                "node {node}: {} at {} does not directly follow its MsgSent (previous: {})",
+                ev.kind.name(),
+                ev.at,
+                previous.map_or("none", |k| k.name())
+            ));
+        }
+    }
+    violations
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,6 +263,63 @@ mod tests {
         let v = check_urgency_alternation(&bad);
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("raised twice"));
+    }
+
+    #[test]
+    fn transport_failures_must_follow_their_msg_sent() {
+        let sent = |node, dst| {
+            ev(
+                node,
+                1,
+                EventKind::MsgSent {
+                    dst: NodeId::new(dst),
+                    carried: Power::ZERO,
+                },
+            )
+        };
+        let dropped = |node, dst| {
+            ev(
+                node,
+                1,
+                EventKind::MsgDropped {
+                    dst: NodeId::new(dst),
+                    carried: Power::ZERO,
+                },
+            )
+        };
+        let failed = |node, dst| {
+            ev(
+                node,
+                1,
+                EventKind::SendFailed {
+                    dst: NodeId::new(dst),
+                },
+            )
+        };
+        // Another node's events may interleave; a node's own may not.
+        let ok = vec![
+            sent(0, 1),
+            sent(2, 0),
+            dropped(0, 1),
+            failed(2, 0),
+            sent(0, 1),
+        ];
+        assert!(check_transport_pairing(&ok).is_empty());
+
+        let bad = vec![
+            dropped(0, 1), // nothing before it
+            sent(0, 1),
+            served(0, 1, 3), // a protocol event in between
+            dropped(0, 1),
+            sent(1, 2),
+            failed(1, 3), // wrong destination
+            sent(1, 2),
+            dropped(1, 2),
+            dropped(1, 2), // a second failure for one attempt
+        ];
+        let v = check_transport_pairing(&bad);
+        assert_eq!(v.len(), 4, "{v:#?}");
+        assert!(v[1].contains("previous: request_served"), "{v:#?}");
     }
 
     #[test]

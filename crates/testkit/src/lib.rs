@@ -29,6 +29,7 @@ pub use conformance::{
     Snapshot, Substrate, SubstrateRun, Violation, WorkloadSpec,
 };
 pub use events::{
-    check_grant_served_pairing, check_urgency_alternation, normalize_protocol, ProtocolStep,
+    check_grant_served_pairing, check_transport_pairing, check_urgency_alternation,
+    normalize_protocol, ProtocolStep,
 };
 pub use rng::{node_stream, Rng, TestRng};

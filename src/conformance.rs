@@ -28,8 +28,8 @@ use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
 use penelope_core::{
-    DeciderPolicy, EngineConfig, EngineInput, EngineOutput, NodeEngine, PeerMsg, PowerGrant,
-    SuspicionDigest,
+    DeciderPolicy, Delivery, Effects, EngineConfig, EngineInput, EngineOutput, NodeEngine, PeerMsg,
+    PowerGrant, SuspicionDigest,
 };
 use penelope_net::{FaultConfig, FaultySocket, ThreadNet};
 use penelope_power::{PowerInterface, SimulatedRapl};
@@ -42,12 +42,13 @@ use penelope_trace::{
     CounterObserver, CounterSnapshot, EventKind, FanoutObserver, SharedObserver, TraceEvent,
 };
 
-/// Total messages a substrate's transport attempted over a run: delivered
-/// sends plus everything the fault plane dropped (acks included). Feeds
+/// Total messages a substrate's transport attempted over a run. The
+/// engine emits `MsgSent` for every attempt — delivered, dropped (acks
+/// included) or refused — so this is the `msg_sent` count alone. Feeds
 /// `SubstrateRun::send_attempts`, the traffic-volume evidence behind the
 /// NonVacuousLoss statistical guard.
 fn send_attempts(counted: &CounterSnapshot) -> u64 {
-    counted.count("msg_sent") + counted.count("msg_dropped") + counted.count("ack_dropped")
+    counted.count("msg_sent")
 }
 use penelope_units::{NodeId, Power, PowerRange, SimDuration, SimTime};
 use penelope_workload::{PerfModel, Phase, Profile, WorkloadState};
@@ -684,141 +685,52 @@ fn snapshot_shared(shared: &Shared, period: u64) -> Snapshot {
     }
 }
 
-/// Send with scenario-level random loss injected at the sender. Requests,
-/// grants and acks all pass through here so a lossy scenario degrades every
-/// protocol edge, exactly like the simulator's drop-rate fault.
-fn send_lossy(
-    endpoint: &penelope_net::ThreadEndpoint<PeerMsg>,
-    drop_rate: f64,
-    drop_rng: &mut TestRng,
-    dst: NodeId,
-    msg: PeerMsg,
-) -> bool {
-    if drop_rate > 0.0 && drop_rng.gen_bool(drop_rate) {
-        return false;
-    }
-    endpoint.send(dst, msg)
-}
-
-/// Map one batch of [`NodeEngine`] outputs onto the lockstep substrate:
-/// the thread's RAPL + the shared cap mirror, the thread-net (with
-/// scenario-level loss injected at the sender), and the shared lost
+/// The lockstep substrate's side of one engine step for node `idx`: the
+/// thread's RAPL plus the shared cap mirror, the thread-net with
+/// scenario-level loss injected at the sender, and the shared lost
 /// balance.
 ///
-/// The buffer is iterated by index because executing a `SendGrant` feeds
-/// the delivery outcome straight back into the engine, which appends its
-/// escrow bookkeeping to the same buffer mid-iteration.
-///
-/// `SetEscrowTimer` outputs are dropped on purpose: this substrate has no
-/// timer wheel — the tick phase starts with an `EngineInput::SweepEscrow`,
-/// and one sweep per period boundary subsumes every per-entry deadline.
-#[allow(clippy::too_many_arguments)]
-fn drive_outputs(
+/// No escrow timers: this substrate has no timer wheel — the tick phase
+/// starts with an `EngineInput::SweepEscrow`, and one sweep per period
+/// boundary subsumes every per-entry deadline.
+struct LockstepEffects<'a> {
     idx: usize,
     now: SimTime,
-    engine: &mut NodeEngine,
-    outputs: &mut Vec<EngineOutput>,
-    rng: &mut TestRng,
-    endpoint: &penelope_net::ThreadEndpoint<PeerMsg>,
+    endpoint: &'a penelope_net::ThreadEndpoint<PeerMsg>,
     drop_rate: f64,
-    drop_rng: &mut TestRng,
-    rapl: &mut SimulatedRapl<WorkloadState>,
-    shared: &Shared,
-    emit: &impl Fn(SimTime, EventKind),
-) {
-    enum SendKind {
-        Request,
-        Grant,
-        Ack(u64),
-    }
-    let mut i = 0;
-    while i < outputs.len() {
-        let out = outputs[i].clone();
-        i += 1;
-        match out {
-            EngineOutput::Actuate { cap } => {
-                rapl.set_cap(cap, now);
-                shared.caps_mw[idx].store(cap.milliwatts(), Ordering::SeqCst);
-            }
-            EngineOutput::Send { dst, msg, carried } => {
-                let kind = match &msg {
-                    PeerMsg::Request(_) => SendKind::Request,
-                    PeerMsg::Grant(..) => SendKind::Grant,
-                    PeerMsg::Ack(a, _) => SendKind::Ack(a.seq),
-                };
-                let delivered = send_lossy(endpoint, drop_rate, drop_rng, dst, msg);
-                emit(now, EventKind::MsgSent { dst, carried });
-                match kind {
-                    // A refused send (dead peer) or a random drop just
-                    // means the decider times out and retries (bounded
-                    // retransmits under lossy scenarios).
-                    SendKind::Request => {
-                        if !delivered {
-                            emit(now, EventKind::MsgDropped { dst, carried });
-                        }
-                    }
-                    // Zero grants (empty-handed replies, ack-raced
-                    // reminders) are fire-and-forget.
-                    SendKind::Grant => {}
-                    // A dropped ack is not retried: the granter's
-                    // AwaitingAck entry simply expires without credit.
-                    SendKind::Ack(seq) => {
-                        if !delivered {
-                            emit(now, EventKind::AckDropped { dst, seq });
-                        }
-                    }
-                }
-            }
-            EngineOutput::SendGrant {
-                dst,
-                msg,
-                amount,
-                seq,
-            } => {
-                // Power already debited from the pool: the engine learns
-                // the delivery outcome immediately and escrows the amount
-                // (AwaitingAck when carried, Undelivered when dropped — the
-                // §3.2 atomicity fix), so an undeliverable grant keeps its
-                // accounting weight on the granter instead of being lost.
-                let delivered = send_lossy(endpoint, drop_rate, drop_rng, dst, msg);
-                emit(
-                    now,
-                    EventKind::MsgSent {
-                        dst,
-                        carried: amount,
-                    },
-                );
-                if !delivered {
-                    emit(
-                        now,
-                        EventKind::MsgDropped {
-                            dst,
-                            carried: amount,
-                        },
-                    );
-                }
-                engine.handle(
-                    now,
-                    EngineInput::GrantOutcome {
-                        requester: dst,
-                        seq,
-                        amount,
-                        delivered,
-                    },
-                    rng,
-                    outputs,
-                );
-            }
-            EngineOutput::SetEscrowTimer { .. } => {}
-            EngineOutput::PowerLost { amount } => {
-                shared
-                    .lost_mw
-                    .fetch_add(amount.milliwatts(), Ordering::SeqCst);
-            }
-            EngineOutput::Resolved { .. } => {}
+    /// Per-node loss stream, disjoint from the decider RNG so drop
+    /// injection never perturbs the protocol's draw sequence.
+    drop_rng: TestRng,
+    rapl: SimulatedRapl<WorkloadState>,
+    shared: &'a Shared,
+}
+
+impl Effects for LockstepEffects<'_> {
+    /// Requests, grants and acks all pass through the same random loss,
+    /// so a lossy scenario degrades every protocol edge, exactly like
+    /// the simulator's drop-rate fault. A refused send (dead peer or cut
+    /// link) is a drop too.
+    fn send(&mut self, dst: NodeId, msg: &PeerMsg, _carried: Power, _grant: bool) -> Delivery {
+        if self.drop_rate > 0.0 && self.drop_rng.gen_bool(self.drop_rate) {
+            return Delivery::Dropped;
+        }
+        if self.endpoint.send(dst, msg.clone()) {
+            Delivery::Sent
+        } else {
+            Delivery::Dropped
         }
     }
-    outputs.clear();
+
+    fn actuate(&mut self, cap: Power) {
+        self.rapl.set_cap(cap, self.now);
+        self.shared.caps_mw[self.idx].store(cap.milliwatts(), Ordering::SeqCst);
+    }
+
+    fn power_lost(&mut self, amount: Power) {
+        self.shared
+            .lost_mw
+            .fetch_add(amount.milliwatts(), Ordering::SeqCst);
+    }
 }
 
 /// The per-node thread body: the same [`NodeEngine`] the simulator drives,
@@ -830,10 +742,10 @@ fn node_loop(
     period: SimDuration,
     endpoint: penelope_net::ThreadEndpoint<PeerMsg>,
     shared: Arc<Shared>,
-    mut rapl: SimulatedRapl<WorkloadState>,
+    rapl: SimulatedRapl<WorkloadState>,
     mut rng: TestRng,
     drop_rate: f64,
-    mut drop_rng: TestRng,
+    drop_rng: TestRng,
     obs: SharedObserver,
 ) {
     let id = NodeId::new(idx as u32);
@@ -849,12 +761,22 @@ fn node_loop(
             kind,
         });
     };
+    let mut fx = LockstepEffects {
+        idx,
+        now: SimTime::ZERO,
+        endpoint: &endpoint,
+        drop_rate,
+        drop_rng,
+        rapl,
+        shared: &shared,
+    };
     let mut outputs: Vec<EngineOutput> = Vec::new();
     let mut stashed_grants: Vec<(NodeId, PowerGrant, Option<Box<SuspicionDigest>>)> = Vec::new();
     let mut was_alive = true;
     for p in 0..periods {
         shared.barrier.wait(); // coordinator finished faults/snapshot
         let now = SimTime::ZERO + period * p;
+        fx.now = now;
         let me_alive = shared.alive[idx].load(Ordering::SeqCst);
         if !was_alive && me_alive {
             // Reborn between periods: the coordinator re-admitted a cap
@@ -865,7 +787,7 @@ fn node_loop(
             // with — or be replayed into — the new epoch.
             let reborn = Power::from_milliwatts(shared.caps_mw[idx].load(Ordering::SeqCst));
             shared.engines[idx].lock().unwrap().reincarnate(reborn);
-            rapl.set_cap(reborn, now);
+            fx.rapl.set_cap(reborn, now);
             stashed_grants.clear();
             was_alive = true;
             emit(now, EventKind::NodeRestarted { readmitted: reborn });
@@ -885,35 +807,11 @@ fn node_loop(
             // own pool (the §3.2 abort path); an AwaitingAck entry expires
             // without credit — the power is with the requester or died
             // with it, and re-crediting it would mint.
-            engine.handle(now, EngineInput::SweepEscrow, &mut rng, &mut outputs);
-            drive_outputs(
-                idx,
-                now,
-                &mut engine,
-                &mut outputs,
-                &mut rng,
-                &endpoint,
-                drop_rate,
-                &mut drop_rng,
-                &mut rapl,
-                &shared,
-                &emit,
-            );
-            let reading = rapl.read_power_with(now, &mut rng);
-            engine.handle(now, EngineInput::Tick { reading }, &mut rng, &mut outputs);
-            drive_outputs(
-                idx,
-                now,
-                &mut engine,
-                &mut outputs,
-                &mut rng,
-                &endpoint,
-                drop_rate,
-                &mut drop_rng,
-                &mut rapl,
-                &shared,
-                &emit,
-            );
+            let sweep = EngineInput::SweepEscrow;
+            engine.step(now, sweep, &mut rng, &mut outputs, &mut fx);
+            let reading = fx.rapl.read_power_with(now, &mut rng);
+            let tick = EngineInput::Tick { reading };
+            engine.step(now, tick, &mut rng, &mut outputs, &mut fx);
         }
         shared.barrier.wait(); // tick done everywhere: all requests sent
 
@@ -929,84 +827,31 @@ fn node_loop(
                 None
             };
             while let Some(env) = endpoint.try_recv() {
+                let src = env.src;
                 match env.msg {
-                    PeerMsg::Request(req) => {
-                        if let Some(engine) = guard.as_deref_mut() {
-                            emit(
-                                now,
-                                EventKind::MsgRecv {
-                                    src: env.src,
-                                    carried: Power::ZERO,
-                                },
-                            );
-                            engine.handle(
-                                now,
-                                EngineInput::Msg {
-                                    src: env.src,
-                                    msg: PeerMsg::Request(req),
-                                },
-                                &mut rng,
-                                &mut outputs,
-                            );
-                            drive_outputs(
-                                idx,
-                                now,
-                                engine,
-                                &mut outputs,
-                                &mut rng,
-                                &endpoint,
-                                drop_rate,
-                                &mut drop_rng,
-                                &mut rapl,
-                                &shared,
-                                &emit,
-                            );
-                        }
-                        // dead node: request evaporates
-                    }
                     PeerMsg::Grant(g, digest) => {
                         emit(
                             now,
                             EventKind::MsgRecv {
-                                src: env.src,
+                                src,
                                 carried: g.amount,
                             },
                         );
-                        stashed_grants.push((env.src, g, digest));
+                        stashed_grants.push((src, g, digest));
                     }
-                    PeerMsg::Ack(a, digest) => {
+                    // A dead node's requests and acks evaporate.
+                    msg => {
                         if let Some(engine) = guard.as_deref_mut() {
                             emit(
                                 now,
                                 EventKind::MsgRecv {
-                                    src: env.src,
+                                    src,
                                     carried: Power::ZERO,
                                 },
                             );
-                            engine.handle(
-                                now,
-                                EngineInput::Msg {
-                                    src: env.src,
-                                    msg: PeerMsg::Ack(a, digest),
-                                },
-                                &mut rng,
-                                &mut outputs,
-                            );
-                            drive_outputs(
-                                idx,
-                                now,
-                                engine,
-                                &mut outputs,
-                                &mut rng,
-                                &endpoint,
-                                drop_rate,
-                                &mut drop_rng,
-                                &mut rapl,
-                                &shared,
-                                &emit,
-                            );
+                            let input = EngineInput::Msg { src, msg };
+                            engine.step(now, input, &mut rng, &mut outputs, &mut fx);
                         }
-                        // dead node: ack evaporates
                     }
                 }
             }
@@ -1017,51 +862,32 @@ fn node_loop(
         if me_alive {
             let mut engine = shared.engines[idx].lock().unwrap();
             while let Some(env) = endpoint.try_recv() {
+                let src = env.src;
                 match env.msg {
                     PeerMsg::Grant(g, digest) => {
                         emit(
                             now,
                             EventKind::MsgRecv {
-                                src: env.src,
+                                src,
                                 carried: g.amount,
                             },
                         );
-                        stashed_grants.push((env.src, g, digest));
+                        stashed_grants.push((src, g, digest));
                     }
                     // Acks race with the apply drain (they are sent from
                     // other nodes' apply phases); one missed here is
                     // handled by the next serve phase, well before any
                     // escrow deadline.
-                    PeerMsg::Ack(a, digest) => {
+                    msg @ PeerMsg::Ack(..) => {
                         emit(
                             now,
                             EventKind::MsgRecv {
-                                src: env.src,
+                                src,
                                 carried: Power::ZERO,
                             },
                         );
-                        engine.handle(
-                            now,
-                            EngineInput::Msg {
-                                src: env.src,
-                                msg: PeerMsg::Ack(a, digest),
-                            },
-                            &mut rng,
-                            &mut outputs,
-                        );
-                        drive_outputs(
-                            idx,
-                            now,
-                            &mut engine,
-                            &mut outputs,
-                            &mut rng,
-                            &endpoint,
-                            drop_rate,
-                            &mut drop_rng,
-                            &mut rapl,
-                            &shared,
-                            &emit,
-                        );
+                        let input = EngineInput::Msg { src, msg };
+                        engine.step(now, input, &mut rng, &mut outputs, &mut fx);
                     }
                     PeerMsg::Request(_) => {} // all requests drained in serve
                 }
@@ -1070,27 +896,13 @@ fn node_loop(
                 // The engine merges piggybacked gossip before booking the
                 // reply, applies the grant, actuates the new cap and acks
                 // non-zero amounts back to the granter.
-                engine.handle(
+                let msg = PeerMsg::Grant(g, digest);
+                engine.step(
                     now,
-                    EngineInput::Msg {
-                        src,
-                        msg: PeerMsg::Grant(g, digest),
-                    },
+                    EngineInput::Msg { src, msg },
                     &mut rng,
                     &mut outputs,
-                );
-                drive_outputs(
-                    idx,
-                    now,
-                    &mut engine,
-                    &mut outputs,
-                    &mut rng,
-                    &endpoint,
-                    drop_rate,
-                    &mut drop_rng,
-                    &mut rapl,
-                    &shared,
-                    &emit,
+                    &mut fx,
                 );
             }
         }

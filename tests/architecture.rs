@@ -7,6 +7,13 @@
 //! suspicion-gossip merging, seq-epoch staleness, grant dedup) outside
 //! the core crate, so the triplication the engine collapsed cannot creep
 //! back in one convenient shortcut at a time.
+//!
+//! The same goes for the output loop. `NodeEngine::step` runs it for
+//! every driver: it feeds grant outcomes back and emits the transport
+//! events by one rule. So no crate but `penelope-core` may name the
+//! grant-feedback seam (`SendGrant`, `GrantOutcome`), and no driver may
+//! build a transport event itself — except the SLURM routes, which have
+//! no engine.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -27,6 +34,24 @@ const DRIVER_TREES: &[&str] = &[
     "crates/daemon/src",
     "src",
     "examples",
+];
+
+/// The grant-feedback seam, private to the engine's output loop.
+const GRANT_FEEDBACK: &[&str] = &["SendGrant", "GrantOutcome"];
+
+/// Transport events the engine emits for every Penelope send.
+const TRANSPORT_EVENTS: &[&str] = &[
+    "EventKind::MsgSent",
+    "EventKind::MsgDropped",
+    "EventKind::AckDropped",
+    "EventKind::SendFailed",
+];
+
+/// Engine-less routes that still emit their own transport events:
+/// `(file, function)`.
+const ENGINELESS_ROUTES: &[(&str, &str)] = &[
+    ("crates/sim/src/cluster.rs", "route_slurm"),
+    ("crates/runtime/src/cluster.rs", "run_slurm"),
 ];
 
 fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -102,6 +127,98 @@ fn protocol_state_machinery_stays_inside_penelope_core() {
          NodeEngine::handle instead:\n  {}",
         violations.join("\n  ")
     );
+}
+
+/// Every Rust source outside `penelope-core`: each other crate's `src`,
+/// the facade's `src` and `examples`.
+fn non_core_sources(root: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    for entry in fs::read_dir(root.join("crates")).expect("crates dir exists") {
+        let krate = entry.expect("readable dir entry").path();
+        let src = krate.join("src");
+        if krate.file_name().is_some_and(|n| n != "core") && src.is_dir() {
+            rust_sources(&src, &mut files);
+        }
+    }
+    rust_sources(&root.join("src"), &mut files);
+    rust_sources(&root.join("examples"), &mut files);
+    files
+}
+
+/// The 0-based line range of function `name` in `text`: from its `fn`
+/// line to the first closing brace at the same indentation.
+fn fn_lines(text: &str, name: &str) -> Option<std::ops::Range<usize>> {
+    let lines: Vec<&str> = text.lines().collect();
+    let start = lines
+        .iter()
+        .position(|l| l.contains(&format!("fn {name}(")))?;
+    let indent = lines[start].len() - lines[start].trim_start().len();
+    let close = format!("{}}}", " ".repeat(indent));
+    let end = (start..lines.len()).find(|&i| lines[i] == close)?;
+    Some(start..end + 1)
+}
+
+#[test]
+fn only_the_engine_feeds_grants_back_and_emits_transport_events() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut violations = Vec::new();
+    let files = non_core_sources(root);
+    assert!(
+        files.len() >= 20,
+        "suspiciously few non-core sources found ({}); tree layout changed?",
+        files.len()
+    );
+    for path in &files {
+        let text = fs::read_to_string(path).expect("readable source file");
+        let rel = path.strip_prefix(root).unwrap_or(path);
+        for (lineno, line) in text.lines().enumerate() {
+            for ident in GRANT_FEEDBACK {
+                if contains_identifier(line, ident) {
+                    violations.push(format!("{}:{}: `{ident}`", rel.display(), lineno + 1));
+                }
+            }
+        }
+    }
+
+    let mut drivers = Vec::new();
+    for tree in DRIVER_TREES {
+        rust_sources(&root.join(tree), &mut drivers);
+    }
+    for path in &drivers {
+        let text = fs::read_to_string(path).expect("readable source file");
+        let rel = path.strip_prefix(root).unwrap_or(path);
+        let allowed: Vec<_> = ENGINELESS_ROUTES
+            .iter()
+            .filter(|(file, _)| rel == Path::new(file))
+            .map(|(_, name)| {
+                fn_lines(&text, name)
+                    .unwrap_or_else(|| panic!("{}: no fn {name}; update the list", rel.display()))
+            })
+            .collect();
+        for (lineno, line) in text.lines().enumerate() {
+            if allowed.iter().any(|r| r.contains(&lineno)) {
+                continue;
+            }
+            for event in TRANSPORT_EVENTS {
+                if contains_identifier(line, event) {
+                    violations.push(format!("{}:{}: `{event}`", rel.display(), lineno + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "only NodeEngine::step may feed grant outcomes back and emit transport \
+         events — answer Effects::send with a Delivery instead:\n  {}",
+        violations.join("\n  ")
+    );
+}
+
+#[test]
+fn a_function_span_ends_at_its_own_closing_brace() {
+    let text = "impl X {\n    fn a() {\n        if x {\n        }\n    }\n    fn b() {}\n}\n";
+    assert_eq!(fn_lines(text, "a"), Some(1..5));
+    assert_eq!(fn_lines(text, "c"), None);
 }
 
 #[test]

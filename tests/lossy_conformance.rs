@@ -16,6 +16,7 @@ use penelope::conformance::{
     lossy_scenario, lossy_wire_scenario, LockstepRuntime, SimSubstrate, UdpDaemonSubstrate,
 };
 use penelope_testkit::conformance::{check_run, Scenario, Substrate};
+use penelope_testkit::events::check_transport_pairing;
 use penelope_trace::{EventKind, RingBufferObserver, SharedObserver};
 
 /// Drop rates (in permille) to sweep, or the single rate pinned by the
@@ -148,6 +149,35 @@ fn lossy_lockstep_actually_drops_and_escrows() {
         .count();
     assert!(dropped > 0, "no messages dropped at 50% loss");
     assert!(escrowed > 0, "no grants escrowed at 50% loss");
+}
+
+#[test]
+fn sim_and_lockstep_pair_every_drop_with_its_send() {
+    // The engine emits the transport events for every driver by one rule:
+    // `MsgSent` per attempt, then at most one failure event for it. At
+    // 30 % loss both deterministic substrates must show drops of every
+    // kind, each directly after the `MsgSent` it reports.
+    let scenario = lossy_scenario(0x5EED_9A12, 300, 12);
+    let sim = Arc::new(RingBufferObserver::unbounded());
+    SimSubstrate::run_observed(&scenario, SharedObserver::from(sim.clone()))
+        .expect("lossy sim runs");
+    let lockstep = Arc::new(RingBufferObserver::unbounded());
+    LockstepRuntime::run_observed(&scenario, SharedObserver::from(lockstep.clone()))
+        .expect("lossy lockstep runs");
+    for (name, ring) in [("sim", &sim), ("lockstep", &lockstep)] {
+        let events = ring.events();
+        let violations = check_transport_pairing(&events);
+        assert!(violations.is_empty(), "{name}: {violations:#?}");
+        let count = |pred: fn(&EventKind) -> bool| events.iter().filter(|e| pred(&e.kind)).count();
+        assert!(
+            count(|k| matches!(k, EventKind::MsgDropped { .. })) > 0,
+            "{name}: no message dropped at 30% loss"
+        );
+        assert!(
+            count(|k| matches!(k, EventKind::AckDropped { .. })) > 0,
+            "{name}: no ack dropped at 30% loss"
+        );
+    }
 }
 
 #[test]
