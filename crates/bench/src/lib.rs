@@ -1,17 +1,7 @@
-//! Shared helpers for the benchmark harness.
-//!
-//! Two consumers share this crate:
-//!
-//! - `examples/perf_report.rs` (workspace root) — the offline perf harness:
-//!   it times the sweeps through [`time`], renders the result with
-//!   [`report::BenchReport`] into `BENCH.json`, and CI gates throughput
-//!   regressions with [`report::check_regression`].
-//! - `figures/` — the criterion benches that regenerate the paper's tables
-//!   and figures. That package needs crates.io for criterion, so it is
-//!   excluded from the workspace; it pulls the axis presets from here.
-//!
-//! Set `PENELOPE_EFFORT=full` for the paper's complete matrices instead of
-//! the quick subsets.
+//! Shared helpers for the perf harness, `examples/perf_report.rs`: it
+//! times the sweeps through [`time`], renders the result with
+//! [`report::BenchReport`] into `BENCH.json`, and CI gates throughput
+//! regressions with [`report::check_regression`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,19 +11,7 @@ use penelope_experiments::Effort;
 pub mod json;
 pub mod report;
 
-/// Whether the harness should print figure series: suppressed when the
-/// bench binary is executed by `cargo test` (criterion's `--test` smoke
-/// mode), so the test suite stays fast.
-pub fn should_print() -> bool {
-    !std::env::args().any(|a| a == "--test")
-}
-
-/// The effort level for series printing (`PENELOPE_EFFORT`, default Quick).
-pub fn effort() -> Effort {
-    Effort::from_env()
-}
-
-/// The frequency axis used when printing Figs. 4/5/7 at each effort.
+/// The frequency axis the harness sweeps for Figs. 4/5/7 at each effort.
 pub fn frequency_axis(effort: Effort) -> Vec<f64> {
     match effort {
         Effort::Smoke => vec![1.0, 8.0],
@@ -42,7 +20,7 @@ pub fn frequency_axis(effort: Effort) -> Vec<f64> {
     }
 }
 
-/// The scale axis used when printing Figs. 6/8 at each effort.
+/// The scale axis the harness sweeps for Figs. 6/8 at each effort.
 pub fn scale_axis(effort: Effort) -> Vec<usize> {
     match effort {
         Effort::Smoke => vec![44, 96],

@@ -4,8 +4,8 @@
 //! pool (Algorithm 2), grant escrow, applied-seq dedup, suspicion/gossip
 //! and peer selection, composed into one state machine that owns every
 //! protocol decision. It performs no I/O and reads no clock: the hosting
-//! substrate (discrete-event simulator, sharded simulator, lockstep and
-//! threaded runtimes, UDP daemons) feeds [`EngineInput`]s into
+//! substrate (discrete-event simulator, sharded simulator, lockstep
+//! runtime, UDP daemons) feeds [`EngineInput`]s into
 //! [`NodeEngine::step`], which advances the automaton and runs every
 //! resulting [`EngineOutput`] through the substrate's [`Effects`] —
 //! sending messages, arming timers, actuating power caps.

@@ -33,7 +33,7 @@ pub mod stats;
 pub mod threadnet;
 
 pub use envelope::Envelope;
-pub use fault::FaultPlane;
+pub use fault::{FaultAction, FaultPlane, FaultScript};
 pub use latency::LatencyModel;
 pub use shim::{DatagramSocket, FaultConfig, FaultySocket, SendStatus};
 pub use simnet::{RouteOutcome, SimNet};

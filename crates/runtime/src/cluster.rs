@@ -1,24 +1,21 @@
-//! Thread orchestration for the three systems.
+//! Thread orchestration for the three systems. Penelope runs on the
+//! [lockstep driver](crate::lockstep); Fair and SLURM on wall-clock threads.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use penelope_core::{
-    fair_assignment, DeciderConfig, Delivery, DiscoveryStrategy, Effects, EngineConfig,
-    EngineInput, EngineOutput, NodeEngine, NodeParams, PeerMsg,
-};
-use penelope_net::{Envelope, ThreadEndpoint, ThreadNet};
+use penelope_core::{fair_assignment, DeciderConfig, DiscoveryStrategy, EngineConfig, NodeParams};
+use penelope_net::{FaultScript, ThreadEndpoint, ThreadNet};
 use penelope_power::RaplConfig;
 use penelope_slurm::{ClientAction, PowerServer, SlurmClient, SlurmMsg};
-use penelope_testkit::rng::TestRng;
 use penelope_trace::{EventKind, SharedObserver, TraceEvent};
 use penelope_units::{NodeId, Power, SimDuration, SimTime};
 use penelope_workload::Profile;
 
 use crate::hardware::{NodeHardware, WallClock};
+use crate::lockstep::Lockstep;
 use crate::report::ThreadedReport;
 
 /// Configuration for a threaded cluster run.
@@ -28,7 +25,8 @@ pub struct RuntimeConfig {
     pub budget: Power,
     /// The per-node protocol knobs (decider, pool, safe range), shared
     /// verbatim with the simulator and the UDP daemon. Keep the period in
-    /// the milliseconds for tests — these are real sleeps.
+    /// the milliseconds for tests: the Fair and SLURM runs sleep it for
+    /// real, and Penelope's virtual run takes `deadline / period` periods.
     pub node: NodeParams,
     /// Simulated RAPL parameters.
     pub rapl: RaplConfig,
@@ -39,7 +37,8 @@ pub struct RuntimeConfig {
     /// Starting request-sequence watermark applied to every node's engine
     /// (`NodeEngine::with_seq_floor`). Zero for a fresh cluster.
     pub seq_floor: u64,
-    /// RNG seed for peer selection.
+    /// Master seed for peer selection: Penelope node `i` draws from
+    /// `node_seed(seed, i)`.
     pub seed: u64,
     /// Protocol-event sink shared by every node thread; defaults to the
     /// free no-op observer.
@@ -84,14 +83,14 @@ impl RuntimeConfig {
 /// plus the node identity and period, so worker threads can emit protocol
 /// events without recomputing the stamp math inline.
 #[derive(Clone)]
-struct Emitter {
+pub(crate) struct Emitter {
     obs: SharedObserver,
     node: NodeId,
     period_ns: u64,
 }
 
 impl Emitter {
-    fn new(obs: SharedObserver, node: NodeId, period: SimDuration) -> Self {
+    pub(crate) fn new(obs: SharedObserver, node: NodeId, period: SimDuration) -> Self {
         Emitter {
             obs,
             node,
@@ -100,7 +99,7 @@ impl Emitter {
     }
 
     #[inline]
-    fn emit(&self, at: SimTime, kind: impl FnOnce() -> EventKind) {
+    pub(crate) fn emit(&self, at: SimTime, kind: impl FnOnce() -> EventKind) {
         let node = self.node;
         let period_ns = self.period_ns;
         self.obs.emit(|| TraceEvent {
@@ -110,44 +109,6 @@ impl Emitter {
             kind: kind(),
         });
     }
-}
-
-/// One Penelope thread's side of an engine step: the thread-net and the
-/// node's hardware. Pool endpoints are node ids `0..n` and decider
-/// endpoints `n..2n`, so grants (replies to a requester's decider) are
-/// offset by `n` while requests and acks address pools by logical id.
-struct ThreadEffects<'a> {
-    ep: &'a ThreadEndpoint<PeerMsg>,
-    n: usize,
-    hw: &'a NodeHardware,
-    /// The seq of a request sent during this step.
-    awaiting: Option<u64>,
-}
-
-impl Effects for ThreadEffects<'_> {
-    /// The thread-net refuses messages to dead endpoints: a known drop.
-    fn send(&mut self, dst: NodeId, msg: &PeerMsg, _carried: Power, _grant: bool) -> Delivery {
-        let to = match msg {
-            PeerMsg::Request(req) => {
-                self.awaiting = Some(req.seq);
-                dst
-            }
-            PeerMsg::Grant(..) => NodeId::new((self.n + dst.index()) as u32),
-            PeerMsg::Ack(..) => dst,
-        };
-        if self.ep.send(to, msg.clone()) {
-            Delivery::Sent
-        } else {
-            Delivery::Dropped
-        }
-    }
-
-    fn actuate(&mut self, cap: Power) {
-        self.hw.set_cap(cap);
-    }
-
-    /// The threaded runtime keeps no conservation ledger of its own.
-    fn power_lost(&mut self, _amount: Power) {}
 }
 
 /// Entry points for running a whole cluster on real threads.
@@ -218,10 +179,11 @@ impl ThreadedCluster {
         }
     }
 
-    /// Run Penelope: per node, a decider thread and a pool thread sharing
-    /// the node's locked [`NodeEngine`] (§3.3: "a simple lock"). Pool
-    /// endpoints are node ids `0..n`; decider endpoints are `n..2n` so
-    /// grants and requests never share a queue.
+    /// Run Penelope on the [lockstep driver](Lockstep): one thread per
+    /// node, its [`NodeEngine`](penelope_core::NodeEngine) behind the §3.3
+    /// lock, periods phased by barriers in unpaced virtual time. `deadline`
+    /// caps the run at `deadline / period` periods; `finished_secs` are
+    /// workload seconds.
     pub fn run_penelope(
         cfg: RuntimeConfig,
         workloads: Vec<Profile>,
@@ -231,252 +193,54 @@ impl ThreadedCluster {
     }
 
     /// Run Penelope with an optional client-node crash after a delay (the
-    /// fault Penelope is exposed to in §4.4): the victim's pool and decider
-    /// endpoints go dead, so it neither serves nor acquires power.
+    /// fault Penelope is exposed to in §4.4), applied at the first period
+    /// boundary at or after it: the victim's cap, pool and escrow retire
+    /// and it neither serves nor acquires power. Completion then means
+    /// every other node finished.
     pub fn run_penelope_with_fault(
         cfg: RuntimeConfig,
         workloads: Vec<Profile>,
         deadline: Duration,
         kill_node_after: Option<(Duration, usize)>,
     ) -> ThreadedReport {
-        let n = workloads.len();
-        let caps = fair_assignment(cfg.budget, n, cfg.node.safe_range);
+        let caps = fair_assignment(cfg.budget, workloads.len(), cfg.node.safe_range);
         let budget_assigned: Power = caps.iter().copied().sum();
-        let clock = WallClock::start();
-        let hw = build_hardware(&cfg, &workloads, &caps, &clock);
-        let (net, mut endpoints) = ThreadNet::<PeerMsg>::new(2 * n);
-        let decider_eps = endpoints.split_off(n);
-        let pool_eps = endpoints;
-        // One engine per node, shared by its decider and pool threads
-        // behind the §3.3 lock. The decider's safe range comes from the
-        // node's hardware, so the engine's does too.
-        let engines: Vec<Arc<Mutex<NodeEngine>>> = (0..n)
-            .map(|i| {
-                let node = NodeParams {
-                    safe_range: hw[i].safe_range(),
-                    ..cfg.node
-                };
-                Arc::new(Mutex::new(NodeEngine::new(
-                    NodeId::new(i as u32),
-                    n,
-                    EngineConfig::new(node)
-                        .with_discovery(cfg.discovery)
-                        .with_seq_floor(cfg.seq_floor),
-                    caps[i],
-                    cfg.observer.clone(),
-                )))
-            })
-            .collect();
-        let shutdown = Arc::new(AtomicBool::new(false));
-
-        let mut pool_threads = Vec::with_capacity(n);
-        for (i, ep) in pool_eps.into_iter().enumerate() {
-            let engine = Arc::clone(&engines[i]);
-            let stop = Arc::clone(&shutdown);
-            let hw_i = Arc::clone(&hw[i]);
-            let clock = clock.clone();
-            pool_threads.push(thread::spawn(move || -> ThreadEndpoint<PeerMsg> {
-                // The engine owns the granter-side escrow: every non-zero
-                // grant is held, keyed by requester id and seq echo, until
-                // its ack; an undeliverable grant's power flows back into
-                // the pool at the deadline instead of silently vanishing.
-                // The rng is demanded by the `step` signature but never
-                // drawn on the serve path.
-                let mut rng = TestRng::seed_from_u64(0);
-                let mut outputs: Vec<EngineOutput> = Vec::new();
-                while !stop.load(Ordering::Relaxed) {
-                    let mut fx = ThreadEffects {
-                        ep: &ep,
-                        n,
-                        hw: &hw_i,
-                        awaiting: None,
-                    };
-                    // Bulk escrow expiry each wake; the per-entry timers
-                    // the engine requests are never armed on this
-                    // substrate.
-                    let sweep = EngineInput::SweepEscrow;
-                    engine.lock().unwrap().step(
-                        clock.now(),
-                        sweep,
-                        &mut rng,
-                        &mut outputs,
-                        &mut fx,
-                    );
-                    let Some(env) = ep.recv_timeout(Duration::from_millis(5)) else {
-                        continue;
-                    };
-                    let src = match &env.msg {
-                        // `req.from` carries the logical node id; replies
-                        // route to that node's *decider* endpoint.
-                        PeerMsg::Request(req) => req.from,
-                        // Acks arrive from decider endpoints (`n..2n`);
-                        // translate back to the logical id the escrow is
-                        // keyed by.
-                        PeerMsg::Ack(..) => NodeId::new(env.src.index().saturating_sub(n) as u32),
-                        PeerMsg::Grant(..) => continue,
-                    };
-                    let input = EngineInput::Msg { src, msg: env.msg };
-                    engine.lock().unwrap().step(
-                        clock.now(),
-                        input,
-                        &mut rng,
-                        &mut outputs,
-                        &mut fx,
-                    );
-                }
-                ep
-            }));
+        let virtual_time = |d: Duration| SimDuration::from_nanos(d.as_nanos() as u64);
+        let faults = match kill_node_after {
+            Some((after, victim)) => FaultScript::kill_node_at(
+                SimTime::ZERO + virtual_time(after),
+                NodeId::new(victim as u32),
+            ),
+            None => FaultScript::none(),
+        };
+        // The engine's safe range is the hardware's, as on the other drivers.
+        let node = NodeParams {
+            safe_range: cfg.rapl.safe_range,
+            ..cfg.node
+        };
+        let run = Lockstep {
+            engine: EngineConfig::new(node)
+                .with_discovery(cfg.discovery)
+                .with_seq_floor(cfg.seq_floor),
+            caps,
+            profiles: workloads,
+            rapl: cfg.rapl,
+            management_overhead: cfg.management_overhead,
+            seed: cfg.seed,
+            periods: virtual_time(deadline)
+                .as_nanos()
+                .div_ceil(node.decider.period.as_nanos().max(1)),
+            until_finished: true,
+            faults,
+            observer: cfg.observer,
         }
-
-        let mut decider_threads = Vec::with_capacity(n);
-        for (i, ep) in decider_eps.into_iter().enumerate() {
-            let engine = Arc::clone(&engines[i]);
-            let stop = Arc::clone(&shutdown);
-            let hw_i = Arc::clone(&hw[i]);
-            let clock = clock.clone();
-            let cfg = cfg.clone();
-            decider_threads.push(thread::spawn(move || -> ThreadEndpoint<PeerMsg> {
-                let me = NodeId::new(i as u32);
-                let em = Emitter::new(cfg.observer.clone(), me, cfg.node.decider.period);
-                let mut rng = TestRng::seed_from_u64(cfg.seed.wrapping_add(i as u64));
-                let mut outputs: Vec<EngineOutput> = Vec::new();
-                // Messages that arrived during a grant wait but were not
-                // the reply being waited for; replayed into the next wait
-                // instead of being discarded.
-                let mut deferred: VecDeque<Envelope<PeerMsg>> = VecDeque::new();
-                while !stop.load(Ordering::Relaxed) {
-                    let iter_start = Instant::now();
-                    let now = clock.now();
-                    let reading = hw_i.read_power();
-                    // One engine tick: suspicion-aware uniform discovery
-                    // (crashed or partitioned peers are skipped until the
-                    // probe interval re-admits them; fault-free this draws
-                    // exactly the historical uniform pick), Algorithm 1,
-                    // and the CapActuated sample — all inside the engine.
-                    let mut fx = ThreadEffects {
-                        ep: &ep,
-                        n,
-                        hw: &hw_i,
-                        awaiting: None,
-                    };
-                    let tick = EngineInput::Tick { reading };
-                    engine
-                        .lock()
-                        .unwrap()
-                        .step(now, tick, &mut rng, &mut outputs, &mut fx);
-                    if let Some(seq) = fx.awaiting {
-                        // Block for the pool's reply, as the paper's
-                        // decider does — but without discarding whatever
-                        // else arrives meanwhile. A late grant (an older
-                        // request answered after its timeout) is applied
-                        // idempotently and acked; anything else is
-                        // deferred; only the grant echoing *this*
-                        // request's seq ends the wait early.
-                        let wait_deadline = Instant::now() + cfg.timeout();
-                        let mut replay = std::mem::take(&mut deferred);
-                        loop {
-                            let env = match replay.pop_front() {
-                                Some(env) => env,
-                                None => {
-                                    let remaining =
-                                        wait_deadline.saturating_duration_since(Instant::now());
-                                    if remaining.is_zero() {
-                                        break;
-                                    }
-                                    match ep.recv_timeout(remaining) {
-                                        Some(env) => env,
-                                        None => break,
-                                    }
-                                }
-                            };
-                            match env.msg {
-                                PeerMsg::Grant(g, digest) => {
-                                    let now2 = clock.now();
-                                    em.emit(now2, || EventKind::MsgRecv {
-                                        src: env.src,
-                                        carried: g.amount,
-                                    });
-                                    let g_seq = g.seq;
-                                    // Grants arrive from pool endpoints
-                                    // (`0..n`), so `env.src` is already
-                                    // the granter's logical id. The engine
-                                    // actuates the new cap and acks that
-                                    // pool endpoint so it releases its
-                                    // escrow.
-                                    let msg = PeerMsg::Grant(g, digest);
-                                    let input = EngineInput::Msg { src: env.src, msg };
-                                    engine.lock().unwrap().step(
-                                        now2,
-                                        input,
-                                        &mut rng,
-                                        &mut outputs,
-                                        &mut fx,
-                                    );
-                                    if g_seq == seq {
-                                        break;
-                                    }
-                                }
-                                _ => deferred.push_back(env),
-                            }
-                        }
-                    }
-                    thread::sleep(cfg.period().saturating_sub(iter_start.elapsed()));
-                }
-                ep
-            }));
-        }
-
-        if let Some((after, victim)) = kill_node_after {
-            let net = net.clone();
-            let stop = Arc::clone(&shutdown);
-            thread::spawn(move || {
-                thread::sleep(after);
-                if !stop.load(Ordering::Relaxed) {
-                    net.with_faults(|f| {
-                        f.kill(NodeId::new(victim as u32)); // pool endpoint
-                        f.kill(NodeId::new((n + victim) as u32)); // decider endpoint
-                    });
-                }
-            });
-        }
-
-        // With a killed node, completion means "every other node finished".
-        let wait_on: Vec<Arc<NodeHardware>> = hw
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| kill_node_after.map(|(_, v)| v != *i).unwrap_or(true))
-            .map(|(_, h)| Arc::clone(h))
-            .collect();
-        await_completion(&wait_on, deadline);
-        shutdown.store(true, Ordering::Relaxed);
-        let pool_endpoints: Vec<_> = pool_threads
-            .into_iter()
-            .map(|t| t.join().unwrap())
-            .collect();
-        let decider_endpoints: Vec<_> = decider_threads
-            .into_iter()
-            .map(|t| t.join().unwrap())
-            .collect();
-
-        // Any grant still sitting in a queue is in-flight power.
-        let mut drained = Power::ZERO;
-        for ep in decider_endpoints.iter().chain(pool_endpoints.iter()) {
-            while let Some(env) = ep.try_recv() {
-                if let PeerMsg::Grant(g, _) = env.msg {
-                    drained += g.amount;
-                }
-            }
-        }
-
+        .run();
         ThreadedReport {
-            finished_secs: finish_times(&hw),
-            net: net.stats(),
-            final_caps: hw.iter().map(|h| h.cap()).collect(),
-            final_pools: engines
-                .iter()
-                .map(|e| e.lock().unwrap().pool().available())
-                .collect(),
-            drained_in_flight: drained,
+            finished_secs: run.finished_secs,
+            net: run.net,
+            final_caps: run.end.nodes.iter().map(|n| n.cap).collect(),
+            final_pools: run.end.nodes.iter().map(|n| n.pool_available).collect(),
+            drained_in_flight: run.end.in_flight,
             server_cache: Power::ZERO,
             budget_assigned,
         }

@@ -28,9 +28,10 @@ impl WallClock {
     }
 }
 
-/// A node's power hardware in the threaded runtime: the simulated RAPL
-/// domain behind a lock, advanced by wall time. Both the decider thread
-/// (read/cap) and the main thread (completion polling) touch it.
+/// A node's power hardware in the wall-clock Fair and SLURM runs: the
+/// simulated RAPL domain behind a lock, advanced by wall time. Both the
+/// SLURM client thread (read/cap) and the main thread (completion
+/// polling) touch it.
 pub struct NodeHardware {
     clock: WallClock,
     rapl: Mutex<SimulatedRapl<WorkloadState>>,

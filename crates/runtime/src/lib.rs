@@ -1,26 +1,33 @@
 //! Threaded in-process cluster runtime.
 //!
-//! The paper deploys Penelope as two threads per node — a local decider and
-//! a power pool server — plus, for the SLURM baseline, one client thread
-//! per node and a central server process (§4.1, §4.5). This crate is that
-//! deployment in miniature: every node is a pair of OS threads, messages
-//! travel over the channel-based [`penelope_net::ThreadNet`], periods are
-//! real wall-clock sleeps, and the "hardware" is the same simulated RAPL
-//! domain used by the DES, driven by wall time.
+//! Penelope runs on the [`Lockstep`] driver: one OS thread per node, each
+//! owning its [`NodeEngine`](penelope_core::NodeEngine) behind the §3.3
+//! lock, messages over the channel-based [`penelope_net::ThreadNet`],
+//! barrier-phased periods in unpaced virtual time and a scripted
+//! [`FaultScript`](penelope_net::FaultScript). It is the conformance
+//! harness's lockstep substrate, and [`ThreadedCluster`] wraps it for
+//! Penelope runs. The free-running decider/network thread pair on real
+//! sockets is the UDP daemon's (`penelope-daemon`).
 //!
-//! It exists to demonstrate that the *identical* decider/pool/client state
+//! The baselines run on wall-clock threads: Fair as static caps, SLURM as
+//! one client thread per node plus a central server thread (§4.1, §4.5),
+//! with the simulated RAPL domain of the DES driven by wall time. Tests
+//! keep periods in the milliseconds so a whole cluster run takes a second
+//! or two.
+//!
+//! Together they show that the *identical* decider/pool/client state
 //! machines from `penelope-core` and `penelope-slurm` run unchanged against
-//! real concurrency — locks, races, blocking waits — not just under the
-//! deterministic simulator. Tests keep periods in the milliseconds so a
-//! whole cluster run takes a second or two.
+//! real concurrency, not just under the deterministic simulator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;
 pub mod hardware;
+pub mod lockstep;
 pub mod report;
 
 pub use cluster::{RuntimeConfig, ThreadedCluster, ThreadedClusterBuilder};
 pub use hardware::NodeHardware;
+pub use lockstep::{Lockstep, LockstepRun};
 pub use report::ThreadedReport;

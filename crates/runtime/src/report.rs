@@ -6,8 +6,9 @@ use penelope_units::Power;
 /// What a [`ThreadedCluster`](crate::ThreadedCluster) run produced.
 #[derive(Debug)]
 pub struct ThreadedReport {
-    /// Per-node completion times in seconds since launch (`None`: did not
-    /// finish before the deadline).
+    /// Per-node completion times in seconds since launch — wall-clock for
+    /// Fair and SLURM, workload seconds for Penelope's virtual-time run
+    /// (`None`: did not finish before the deadline).
     pub finished_secs: Vec<Option<f64>>,
     /// Network counters.
     pub net: NetStats,

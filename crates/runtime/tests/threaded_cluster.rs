@@ -1,5 +1,6 @@
-//! End-to-end tests of the threaded runtime: real threads, real sleeps,
-//! millisecond periods so each test finishes in a couple of seconds.
+//! End-to-end tests of the threaded runtime: real threads, millisecond
+//! periods (real sleeps for Fair and SLURM, virtual time for Penelope's
+//! lockstep driver) so each test finishes in a couple of seconds.
 
 use std::time::Duration;
 
@@ -121,8 +122,8 @@ fn slurm_server_kill_degrades_but_clients_survive() {
 
 #[test]
 fn bigger_threaded_cluster_stays_consistent() {
-    // 8 nodes with mixed appetites: the full two-threads-per-node layout
-    // under real contention.
+    // 8 nodes with mixed appetites: eight node threads contending for
+    // each other's pools.
     let workloads: Vec<Profile> = (0..8)
         .map(|i| profile(&format!("app{i}"), 100 + 22 * i, 0.8))
         .collect();

@@ -5,7 +5,7 @@ use penelope_core::{
     PeerMsg,
 };
 use penelope_metrics::{OscillationStats, RedistributionTracker, TurnaroundStats};
-use penelope_net::{RouteOutcome, SimNet};
+use penelope_net::{FaultAction, FaultScript, RouteOutcome, SimNet};
 use penelope_power::{PowerInterface, SimulatedRapl};
 use penelope_slurm::{ClientAction, PowerServer, ServerGrant, ServerQueue, SlurmClient, SlurmMsg};
 use penelope_testkit::rng::Rng;
@@ -19,7 +19,6 @@ use std::sync::Arc;
 
 use crate::config::{ClusterConfig, SystemKind};
 use crate::event::{Event, EventQueue, Scheduled};
-use crate::faults::{FaultAction, FaultScript};
 use crate::ledger::Ledger;
 use crate::node::Manager;
 use crate::report::RunReport;
@@ -70,17 +69,7 @@ pub struct ClusterSim {
     events_processed: u64,
 }
 
-/// Per-node RNG stream derivation (SplitMix-style stream separation).
-///
-/// Public so other substrates (the lockstep threaded runtime used by the
-/// conformance harness) can derive the *same* per-node streams from the
-/// same master seed, which keeps cross-substrate divergence small.
-pub fn node_seed(master: u64, idx: u64) -> u64 {
-    master
-        ^ idx
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(0xD1B5_4A32_D192_ED03)
-}
+pub use penelope_testkit::rng::node_seed;
 
 impl ClusterSim {
     /// Build a cluster: one node per workload profile, caps assigned
@@ -232,24 +221,11 @@ impl ClusterSim {
         self.stop_on_full_redistribution = true;
     }
 
-    /// Install a fault script (schedules its entries as events). Entries
-    /// are stably sorted by timestamp first, so a script composed out of
-    /// time order still fires chronologically, with same-time entries
-    /// keeping their insertion order — except that `Kill`/`KillServer`
-    /// always apply *last* among the actions sharing their instant. A
-    /// partition (or drop-rate change, or restart) scheduled at the same
-    /// tick as a kill is therefore in force before the victim's holdings
-    /// are retired; killing first would make the composed script's
-    /// topology depend on insertion order, which is exactly the
-    /// nondeterminism the ordering contract rules out.
+    /// Install a fault script (schedules its entries as events) in
+    /// [`FaultScript::chronological`] order: by timestamp, with kills last
+    /// among the actions sharing their instant.
     pub fn install_faults(&mut self, script: &FaultScript) {
-        let kill_rank = |action: &FaultAction| match action {
-            FaultAction::Kill(_) | FaultAction::KillServer => 1u8,
-            _ => 0u8,
-        };
-        let mut entries = script.entries().to_vec();
-        entries.sort_by_key(|(at, action)| (*at, kill_rank(action)));
-        for (at, action) in entries {
+        for (at, action) in script.chronological() {
             self.queue.push(at, Event::Fault(action));
         }
     }
@@ -740,22 +716,7 @@ impl ClusterSim {
                     self.kill_node(id);
                 }
             }
-            FaultAction::Partition(groups) => {
-                self.net.faults_mut().partition(
-                    groups
-                        .into_iter()
-                        .map(|g| g.into_iter().collect())
-                        .collect(),
-                );
-            }
-            FaultAction::PartitionLink { from, to } => {
-                self.net.faults_mut().cut_link(from, to);
-            }
-            FaultAction::HealLink { from, to } => {
-                self.net.faults_mut().heal_link(from, to);
-            }
-            FaultAction::Heal => self.net.faults_mut().heal_partitions(),
-            FaultAction::SetDropRate(p) => self.net.faults_mut().set_drop_rate(p),
+            network => self.net.faults_mut().apply(&network),
         }
     }
 

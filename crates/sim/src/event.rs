@@ -17,7 +17,7 @@ use penelope_net::Envelope;
 use penelope_slurm::SlurmMsg;
 use penelope_units::{NodeId, SimTime};
 
-use crate::faults::FaultAction;
+use penelope_net::FaultAction;
 
 /// Everything that can happen in the simulated cluster.
 #[derive(Clone, Debug)]

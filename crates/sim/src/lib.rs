@@ -26,7 +26,6 @@
 pub mod cluster;
 pub mod config;
 pub mod event;
-pub mod faults;
 pub mod ledger;
 pub mod node;
 pub mod report;
@@ -36,7 +35,7 @@ pub mod trace;
 
 pub use cluster::{node_seed, ClusterSim, ClusterSimBuilder};
 pub use config::{ClusterConfig, DiscoveryStrategy, SystemKind};
-pub use faults::{FaultAction, FaultScript};
+pub use penelope_net::{FaultAction, FaultScript};
 pub use report::RunReport;
 pub use shard::{ShardReport, ShardedConfig, ShardedSim};
 pub use soa::NodeTable;

@@ -5,8 +5,7 @@
 //!
 //! * [`rng`] — the workspace PRNG (SplitMix64-seeded xoshiro256**) with
 //!   the `gen_range`/`gen_bool`/`shuffle` surface the codebase uses.
-//!   Product crates use this directly; the `rand`/`rand_chacha` names
-//!   remain available to tests through in-tree compatibility shims.
+//!   Every crate uses this directly.
 //! * [`prop`] — a fixed-iteration property-test harness with integer /
 //!   float / vec / tuple generators, binary-search shrinking and
 //!   seed-reporting failure output, replacing `proptest` for the

@@ -41,6 +41,19 @@ pub fn node_stream(seed: u64, index: u64) -> u64 {
     a ^ b.rotate_left(32)
 }
 
+/// Per-node RNG stream derivation for the cluster drivers.
+///
+/// The simulator, the sharded simulator and the lockstep runtime derive
+/// every node's stream from one master seed through this function, so the
+/// deterministic substrates draw the *same* per-node streams and their
+/// event streams stay comparable.
+pub fn node_seed(master: u64, idx: u64) -> u64 {
+    master
+        ^ idx
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(0xD1B5_4A32_D192_ED03)
+}
+
 /// The workspace PRNG: xoshiro256** with SplitMix64 seeding.
 ///
 /// Not cryptographically secure — it drives simulations and tests, not

@@ -1,6 +1,6 @@
-//! The threaded deployment: every node really is two OS threads (decider +
-//! pool) exchanging messages over channels, with wall-clock periods — the
-//! paper's process layout in miniature.
+//! The threaded runtime: Fair and SLURM on wall-clock threads, Penelope on
+//! the lockstep driver — one OS thread per node exchanging messages over
+//! channels in barrier-phased periods, whose makespan is workload seconds.
 //!
 //! ```text
 //! cargo run --release --example threaded_cluster
@@ -24,7 +24,7 @@ fn main() {
     let budget = Power::from_watts_u64(8 * 160);
     let deadline = Duration::from_secs(30);
 
-    println!("8 nodes x 2 threads each, 10ms decider periods, budget {budget}\n");
+    println!("8 nodes, 10ms decider periods, budget {budget}\n");
 
     let fair = ThreadedCluster::run_fair(RuntimeConfig::fast(budget), profiles.clone(), deadline);
     let rt_fair = fair.makespan_secs().expect("fair finished");

@@ -8,11 +8,12 @@
 //! * [`SimSubstrate`] — the deterministic discrete-event simulator.
 //!   Single-threaded, so every per-period snapshot is a consistent cut
 //!   with exact in-flight accounting.
-//! * [`LockstepRuntime`] — real OS threads (one per node) sharing
-//!   `PowerPool`s behind mutexes and exchanging `PeerMsg`s over a
-//!   [`ThreadNet`], driven in lockstep periods by barriers. The barrier
-//!   at each period boundary guarantees no message is in flight, so these
-//!   snapshots are consistent cuts too — from genuinely concurrent code.
+//! * [`LockstepRuntime`] — the `penelope-runtime` [`Lockstep`] driver:
+//!   real OS threads (one per node), each engine behind a mutex,
+//!   exchanging `PeerMsg`s over a `ThreadNet` in barrier-phased periods.
+//!   The barrier at each period boundary guarantees no message is in
+//!   flight, so these snapshots are consistent cuts too — from genuinely
+//!   concurrent code.
 //! * [`UdpDaemonSubstrate`] — full `penelope-daemon` processes-in-threads
 //!   on UDP loopback sockets, free-running on the wall clock. Nodes are
 //!   sampled asynchronously, so snapshots are *not* consistent cuts;
@@ -21,26 +22,21 @@
 //!
 //! All three run the *same* decider and pool code; only power delivery,
 //! transport and clock differ. That is the paper's portability claim, and
-//! the conformance suite in `tests/conformance.rs` enforces it.
+//! the conformance suite in `tests/conformance.rs` enforces it. The two
+//! deterministic substrates take their faults from one translation,
+//! [`fault_script`].
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
-use penelope_core::{
-    DeciderPolicy, Delivery, Effects, EngineConfig, EngineInput, EngineOutput, NodeEngine, PeerMsg,
-    PowerGrant, SuspicionDigest,
-};
-use penelope_net::{FaultConfig, FaultySocket, ThreadNet};
-use penelope_power::{PowerInterface, SimulatedRapl};
+use penelope_core::{DeciderPolicy, EngineConfig};
+use penelope_net::{FaultConfig, FaultySocket};
+use penelope_runtime::Lockstep;
 use penelope_sim::{node_seed, ClusterConfig, ClusterSim, FaultAction, FaultScript, SystemKind};
 use penelope_testkit::conformance::{
     FaultSpec, NodeSnapshot, PhaseSpec, Scenario, Snapshot, Substrate, SubstrateRun, WorkloadSpec,
 };
-use penelope_testkit::rng::{Rng, TestRng};
-use penelope_trace::{
-    CounterObserver, CounterSnapshot, EventKind, FanoutObserver, SharedObserver, TraceEvent,
-};
+use penelope_trace::{CounterObserver, CounterSnapshot, FanoutObserver, SharedObserver};
 
 /// Total messages a substrate's transport attempted over a run. The
 /// engine emits `MsgSent` for every attempt — delivered, dropped (acks
@@ -51,7 +47,7 @@ fn send_attempts(counted: &CounterSnapshot) -> u64 {
     counted.count("msg_sent")
 }
 use penelope_units::{NodeId, Power, PowerRange, SimDuration, SimTime};
-use penelope_workload::{PerfModel, Phase, Profile, WorkloadState};
+use penelope_workload::{PerfModel, Phase, Profile};
 
 /// Logical decision period shared by the sim and lockstep substrates.
 const PERIOD: SimDuration = SimDuration::from_secs(1);
@@ -109,20 +105,16 @@ pub fn sim_config(scenario: &Scenario) -> ClusterConfig {
     // Jitterless ticks: all substrates tick at exact period boundaries,
     // which keeps the per-node RNG streams aligned across substrates.
     cfg.tick_jitter = SimDuration::ZERO;
-    // Lossy, churn and partition scenarios lean on the reliability layer:
-    // retry dropped requests instead of eating a full timeout per loss
-    // (and, under churn or cuts, feed the suspicion set fast enough to
-    // matter).
-    if matches!(
-        scenario.fault,
-        FaultSpec::Lossy { .. }
-            | FaultSpec::LossyWire { .. }
-            | FaultSpec::KillRestart { .. }
-            | FaultSpec::Partition { .. }
-            | FaultSpec::AsymmetricIsolate { .. }
-            | FaultSpec::Flapping { .. }
-            | FaultSpec::PartitionChurn { .. }
-    ) {
+    // Every fault but a lone kill (loss, churn, partitions) leans on the
+    // reliability layer: retry dropped requests instead of eating a full
+    // timeout per loss (and, under churn or cuts, feed the suspicion set
+    // fast enough to matter).
+    let script = fault_script(scenario);
+    if script
+        .entries()
+        .iter()
+        .any(|(_, action)| !matches!(action, FaultAction::Kill(_)))
+    {
         cfg.node.decider.max_retransmits = 2;
     }
     cfg
@@ -135,6 +127,106 @@ fn split_groups(nodes: usize, split_at: u32) -> Vec<Vec<NodeId>> {
         (0..split).map(|i| NodeId::new(i as u32)).collect(),
         (split..nodes).map(|i| NodeId::new(i as u32)).collect(),
     ]
+}
+
+/// The fault script a scenario's [`FaultSpec`] describes: the one
+/// translation both deterministic substrates install, so the simulator and
+/// the lockstep runtime inject the same faults at the same instants.
+pub fn fault_script(scenario: &Scenario) -> FaultScript {
+    let at = |p: u64| SimTime::ZERO + PERIOD * p;
+    let rate = scenario.fault.drop_rate();
+    let peers = |node: u32| {
+        (0..scenario.nodes as u32)
+            .filter(move |&j| j != node)
+            .map(NodeId::new)
+    };
+    let script = match scenario.fault {
+        FaultSpec::None => return FaultScript::none(),
+        // The deterministic transports deliver in order and exactly once,
+        // so only the loss leg of LossyWire is representable; duplication
+        // and reordering are exercised on the daemon substrate, where real
+        // datagrams pass through the shim.
+        FaultSpec::Lossy { .. } | FaultSpec::LossyWire { .. } => {
+            return FaultScript::none().at(SimTime::ZERO, FaultAction::SetDropRate(rate));
+        }
+        FaultSpec::KillNode { node, at_period } => {
+            FaultScript::kill_node_at(at(at_period), NodeId::new(node))
+        }
+        FaultSpec::KillRestart {
+            node,
+            kill_at_period,
+            restart_at_period,
+            ..
+        } => {
+            FaultScript::kill_restart(NodeId::new(node), at(kill_at_period), at(restart_at_period))
+        }
+        FaultSpec::Partition {
+            split_at,
+            at_period,
+            heal_at_period,
+            ..
+        } => FaultScript::none()
+            .at(
+                at(at_period),
+                FaultAction::Partition(split_groups(scenario.nodes, split_at)),
+            )
+            .at(at(heal_at_period), FaultAction::Heal),
+        // Directional: every link *towards* the victim is cut; its own
+        // sends keep delivering.
+        FaultSpec::AsymmetricIsolate {
+            node,
+            at_period,
+            heal_at_period,
+            ..
+        } => peers(node).fold(FaultScript::none(), |script, j| {
+            let victim = NodeId::new(node);
+            script
+                .partition_link_at(at(at_period), j, victim)
+                .heal_link_at(at(heal_at_period), j, victim)
+        }),
+        // Alternate one-period isolation windows: cut on even offsets from
+        // `at_period`, restore on odd ones, restored for good at
+        // `heal_at_period`.
+        FaultSpec::Flapping {
+            node,
+            at_period,
+            heal_at_period,
+        } => (at_period..=heal_at_period).fold(FaultScript::none(), |script, q| {
+            let victim = NodeId::new(node);
+            if q < heal_at_period && (q - at_period) % 2 == 0 {
+                script.isolate_at(at(q), victim, scenario.nodes as u32)
+            } else {
+                peers(node).fold(script, |script, j| {
+                    script
+                        .heal_link_at(at(q), j, victim)
+                        .heal_link_at(at(q), victim, j)
+                })
+            }
+        }),
+        // Same-period heal + restart: the rebooted node must come back
+        // into an already-healed network, and the kill-last ordering
+        // contract keeps the kill leg from racing any same-tick
+        // connectivity change.
+        FaultSpec::PartitionChurn {
+            split_at,
+            node,
+            at_period,
+            kill_at_period,
+            heal_at_period,
+        } => FaultScript::none()
+            .at(
+                at(at_period),
+                FaultAction::Partition(split_groups(scenario.nodes, split_at)),
+            )
+            .at(at(kill_at_period), FaultAction::Kill(NodeId::new(node)))
+            .at(at(heal_at_period), FaultAction::Heal)
+            .restart_at(at(heal_at_period), NodeId::new(node)),
+    };
+    if rate > 0.0 {
+        script.at(SimTime::ZERO, FaultAction::SetDropRate(rate))
+    } else {
+        script
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -188,145 +280,7 @@ impl SimSubstrate {
         cfg.observer =
             FanoutObserver::pair(observer, SharedObserver::from(Arc::clone(&drop_counters)));
         let mut sim = ClusterSim::new(cfg, profiles_for(scenario));
-        match scenario.fault {
-            FaultSpec::KillNode { node, at_period } => {
-                sim.install_faults(&FaultScript::kill_node_at(
-                    SimTime::ZERO + PERIOD * at_period,
-                    NodeId::new(node),
-                ));
-            }
-            // The simulator's transport delivers in order and exactly
-            // once, so only the loss leg of LossyWire is representable;
-            // duplication and reordering are exercised on the daemon
-            // substrate, where real datagrams pass through the shim.
-            FaultSpec::Lossy { .. } | FaultSpec::LossyWire { .. } => {
-                sim.install_faults(&FaultScript::none().at(
-                    SimTime::ZERO,
-                    FaultAction::SetDropRate(scenario.fault.drop_rate()),
-                ));
-            }
-            FaultSpec::KillRestart {
-                node,
-                kill_at_period,
-                restart_at_period,
-                drop_permille,
-            } => {
-                let mut script = FaultScript::kill_restart(
-                    NodeId::new(node),
-                    SimTime::ZERO + PERIOD * kill_at_period,
-                    SimTime::ZERO + PERIOD * restart_at_period,
-                );
-                if drop_permille > 0 {
-                    script = script.at(
-                        SimTime::ZERO,
-                        FaultAction::SetDropRate(scenario.fault.drop_rate()),
-                    );
-                }
-                sim.install_faults(&script);
-            }
-            FaultSpec::Partition {
-                split_at,
-                at_period,
-                heal_at_period,
-                drop_permille,
-            } => {
-                let mut script = FaultScript::none()
-                    .at(
-                        SimTime::ZERO + PERIOD * at_period,
-                        FaultAction::Partition(split_groups(scenario.nodes, split_at)),
-                    )
-                    .at(SimTime::ZERO + PERIOD * heal_at_period, FaultAction::Heal);
-                if drop_permille > 0 {
-                    script = script.at(
-                        SimTime::ZERO,
-                        FaultAction::SetDropRate(scenario.fault.drop_rate()),
-                    );
-                }
-                sim.install_faults(&script);
-            }
-            FaultSpec::AsymmetricIsolate {
-                node,
-                at_period,
-                heal_at_period,
-                drop_permille,
-            } => {
-                // Directional: every link *towards* the victim is cut; its
-                // own sends keep delivering.
-                let mut script = FaultScript::none();
-                for j in 0..scenario.nodes as u32 {
-                    if j != node {
-                        script = script
-                            .partition_link_at(
-                                SimTime::ZERO + PERIOD * at_period,
-                                NodeId::new(j),
-                                NodeId::new(node),
-                            )
-                            .heal_link_at(
-                                SimTime::ZERO + PERIOD * heal_at_period,
-                                NodeId::new(j),
-                                NodeId::new(node),
-                            );
-                    }
-                }
-                if drop_permille > 0 {
-                    script = script.at(
-                        SimTime::ZERO,
-                        FaultAction::SetDropRate(scenario.fault.drop_rate()),
-                    );
-                }
-                sim.install_faults(&script);
-            }
-            FaultSpec::Flapping {
-                node,
-                at_period,
-                heal_at_period,
-            } => {
-                // Alternate one-period isolation windows: cut on even
-                // offsets from `at_period`, restore on odd ones, restored
-                // for good at `heal_at_period`.
-                let mut script = FaultScript::none();
-                for q in at_period..=heal_at_period {
-                    let t = SimTime::ZERO + PERIOD * q;
-                    if q < heal_at_period && (q - at_period) % 2 == 0 {
-                        script = script.isolate_at(t, NodeId::new(node), scenario.nodes as u32);
-                    } else {
-                        for j in 0..scenario.nodes as u32 {
-                            if j != node {
-                                script = script
-                                    .heal_link_at(t, NodeId::new(j), NodeId::new(node))
-                                    .heal_link_at(t, NodeId::new(node), NodeId::new(j));
-                            }
-                        }
-                    }
-                }
-                sim.install_faults(&script);
-            }
-            FaultSpec::PartitionChurn {
-                split_at,
-                node,
-                at_period,
-                kill_at_period,
-                heal_at_period,
-            } => {
-                // Same-period heal + restart: the rebooted node must come
-                // back into an already-healed network, and the kill-last
-                // ordering contract keeps the kill leg from racing any
-                // same-tick connectivity change.
-                let script = FaultScript::none()
-                    .at(
-                        SimTime::ZERO + PERIOD * at_period,
-                        FaultAction::Partition(split_groups(scenario.nodes, split_at)),
-                    )
-                    .at(
-                        SimTime::ZERO + PERIOD * kill_at_period,
-                        FaultAction::Kill(NodeId::new(node)),
-                    )
-                    .at(SimTime::ZERO + PERIOD * heal_at_period, FaultAction::Heal)
-                    .restart_at(SimTime::ZERO + PERIOD * heal_at_period, NodeId::new(node));
-                sim.install_faults(&script);
-            }
-            FaultSpec::None => {}
-        }
+        sim.install_faults(&fault_script(scenario));
         let mut snapshots = Vec::with_capacity(scenario.periods as usize);
         for p in 0..scenario.periods {
             sim.advance_to(SimTime::ZERO + PERIOD * (p + 1));
@@ -366,32 +320,10 @@ impl Substrate for SimSubstrate {
 // Substrate 2: the lockstep threaded runtime
 // ---------------------------------------------------------------------
 
-/// Conformance adapter running one real thread per node.
-///
-/// Each period runs in three barrier-separated phases — tick (Alg. 1),
-/// serve (Alg. 2 on the destination pools), apply (grant delivery) — so
-/// that at the period boundary every message sent has been consumed.
-/// Between periods the coordinator thread injects faults and takes the
-/// snapshot; that instant is a consistent cut of truly concurrent state.
+/// Conformance adapter for the [lockstep driver](Lockstep): one real
+/// thread per node, barrier-phased periods, a consistent cut at every
+/// period boundary.
 pub struct LockstepRuntime;
-
-/// Everything the coordinator shares with the node threads.
-///
-/// Each node's whole protocol automaton is one [`NodeEngine`] behind a
-/// mutex: the owning thread locks it for the duration of a phase, and the
-/// coordinator locks it only between barriers (faults, snapshots), when
-/// every node thread is parked — so the locks are never contended and the
-/// period-boundary reads are consistent cuts.
-struct Shared {
-    engines: Vec<Mutex<NodeEngine>>,
-    /// Caps mirrored out of each engine, in milliwatts (kept so dead
-    /// nodes' retired caps stay visible in snapshots).
-    caps_mw: Vec<AtomicU64>,
-    alive: Vec<AtomicBool>,
-    /// Power retired from the system (killed nodes), in milliwatts.
-    lost_mw: AtomicU64,
-    barrier: Barrier,
-}
 
 impl Substrate for LockstepRuntime {
     fn name(&self) -> &'static str {
@@ -412,501 +344,54 @@ impl LockstepRuntime {
         scenario: &Scenario,
         observer: SharedObserver,
     ) -> Result<SubstrateRun, String> {
-        let n = scenario.nodes;
+        Ok(Self::run_script(
+            scenario,
+            &fault_script(scenario),
+            observer,
+        ))
+    }
+
+    /// Run a scenario's cluster under `script` in place of its own
+    /// [`FaultSpec`] (which then only shapes the configuration).
+    pub fn run_script(
+        scenario: &Scenario,
+        script: &FaultScript,
+        observer: SharedObserver,
+    ) -> SubstrateRun {
         let cfg = sim_config(scenario);
-        // Same drop accounting as the sim adapter: the node threads emit
-        // MsgDropped/AckDropped when their loss streams fire, and the
-        // counter rides next to the caller's observer.
+        // Same drop accounting as the sim adapter: the engines emit
+        // MsgDropped/AckDropped when a loss stream fires, and the counter
+        // rides next to the caller's observer.
         let drop_counters = Arc::new(CounterObserver::new());
-        let observer =
-            FanoutObserver::pair(observer, SharedObserver::from(Arc::clone(&drop_counters)));
-        let (net, endpoints) = ThreadNet::<PeerMsg>::new(n);
-        let shared = Arc::new(Shared {
-            engines: (0..n)
-                .map(|i| {
-                    Mutex::new(NodeEngine::new(
-                        NodeId::new(i as u32),
-                        n,
-                        EngineConfig::new(cfg.node),
-                        scenario.budget_per_node,
-                        observer.clone(),
-                    ))
-                })
-                .collect(),
-            caps_mw: (0..n)
-                .map(|_| AtomicU64::new(scenario.budget_per_node.milliwatts()))
-                .collect(),
-            alive: (0..n).map(|_| AtomicBool::new(true)).collect(),
-            lost_mw: AtomicU64::new(0),
-            barrier: Barrier::new(n + 1),
-        });
-        let profiles = profiles_for(scenario);
-
-        let mut threads = Vec::with_capacity(n);
-        for (i, endpoint) in endpoints.into_iter().enumerate() {
-            let shared = Arc::clone(&shared);
-            let profile = profiles[i].clone();
-            let rapl_cfg = cfg.rapl.clone();
-            let overhead = cfg.management_overhead;
-            let initial_cap = scenario.budget_per_node;
-            let period = cfg.node.decider.period;
-            let seed = node_seed(scenario.seed, i as u64);
-            let periods = scenario.periods;
-            let obs = observer.clone();
-            let drop_rate = scenario.fault.drop_rate();
-            // Per-node loss stream, disjoint from the decider RNG so drop
-            // injection never perturbs the protocol's draw sequence.
-            let drop_seed = node_seed(scenario.seed, u64::MAX - 3 - i as u64);
-            threads.push(std::thread::spawn(move || {
-                node_loop(
-                    i,
-                    periods,
-                    period,
-                    endpoint,
-                    shared,
-                    SimulatedRapl::new(
-                        WorkloadState::with_overhead(profile, overhead),
-                        initial_cap,
-                        rapl_cfg,
-                    ),
-                    TestRng::seed_from_u64(seed),
-                    drop_rate,
-                    TestRng::seed_from_u64(drop_seed),
-                    obs,
-                )
-            }));
+        let run = Lockstep {
+            engine: EngineConfig::new(cfg.node),
+            caps: vec![scenario.budget_per_node; scenario.nodes],
+            profiles: profiles_for(scenario),
+            rapl: cfg.rapl,
+            management_overhead: cfg.management_overhead,
+            seed: scenario.seed,
+            periods: scenario.periods,
+            until_finished: false,
+            faults: script.clone(),
+            observer: FanoutObserver::pair(
+                observer,
+                SharedObserver::from(Arc::clone(&drop_counters)),
+            ),
         }
-
-        // Coordinator: inject faults at period starts, snapshot at period
-        // ends. Node threads are parked on the first barrier of period p
-        // while this runs, so the snapshot reads quiescent state.
-        let mut snapshots = Vec::with_capacity(scenario.periods as usize);
-        // The kill leg shared by KillNode and KillRestart: retire the
-        // victim's cap and pool into `lost` and block its traffic.
-        let kill = |node: u32| {
-            let idx = node as usize;
-            if shared.alive[idx].swap(false, Ordering::SeqCst) {
-                net.with_faults(|f| f.kill(NodeId::new(node)));
-                // The engine retires its pool *and* any escrowed grants —
-                // undelivered power dies with its granter, exactly like
-                // its cap.
-                let (pooled, escrowed) = shared.engines[idx].lock().unwrap().retire();
-                let cap = shared.caps_mw[idx].load(Ordering::SeqCst);
-                shared.lost_mw.fetch_add(
-                    cap + pooled.milliwatts() + escrowed.milliwatts(),
-                    Ordering::SeqCst,
-                );
-            }
-        };
-        // The restart leg shared by KillRestart and PartitionChurn:
-        // zero-sum re-admission — the reborn cap comes out of the lost
-        // balance, never exceeding it (nor the node's initial assignment),
-        // and only if it funds a cap inside the safe range.
-        let restart = |node: u32| {
-            let idx = node as usize;
-            if !shared.alive[idx].load(Ordering::SeqCst) {
-                let lost = shared.lost_mw.load(Ordering::SeqCst);
-                let readmit = scenario.budget_per_node.milliwatts().min(lost);
-                if readmit >= scenario.safe.min().milliwatts() {
-                    shared.lost_mw.fetch_sub(readmit, Ordering::SeqCst);
-                    shared.caps_mw[idx].store(readmit, Ordering::SeqCst);
-                    net.with_faults(|f| f.revive(NodeId::new(node)));
-                    shared.alive[idx].store(true, Ordering::SeqCst);
-                }
-            }
-        };
-        // Both directions of every link touching `node` — the flapping
-        // isolation window.
-        let isolate = |node: u32, cut: bool| {
-            net.with_faults(|f| {
-                for j in 0..n as u32 {
-                    if j != node {
-                        if cut {
-                            f.cut_link(NodeId::new(j), NodeId::new(node));
-                            f.cut_link(NodeId::new(node), NodeId::new(j));
-                        } else {
-                            f.heal_link(NodeId::new(j), NodeId::new(node));
-                            f.heal_link(NodeId::new(node), NodeId::new(j));
-                        }
-                    }
-                }
-            });
-        };
-        for p in 0..scenario.periods {
-            match scenario.fault {
-                FaultSpec::KillNode { node, at_period } if at_period == p => kill(node),
-                FaultSpec::KillRestart {
-                    node,
-                    kill_at_period,
-                    restart_at_period,
-                    ..
-                } => {
-                    if kill_at_period == p {
-                        kill(node);
-                    }
-                    if restart_at_period == p {
-                        restart(node);
-                    }
-                }
-                FaultSpec::Partition {
-                    split_at,
-                    at_period,
-                    heal_at_period,
-                    ..
-                } => {
-                    if at_period == p {
-                        let groups = split_groups(n, split_at)
-                            .into_iter()
-                            .map(|g| g.into_iter().collect())
-                            .collect();
-                        net.with_faults(|f| f.partition(groups));
-                    }
-                    if heal_at_period == p {
-                        net.with_faults(|f| f.heal_partitions());
-                    }
-                }
-                FaultSpec::AsymmetricIsolate {
-                    node,
-                    at_period,
-                    heal_at_period,
-                    ..
-                } => {
-                    // Inbound-only cut: the victim's own sends still land.
-                    net.with_faults(|f| {
-                        for j in 0..n as u32 {
-                            if j != node {
-                                if at_period == p {
-                                    f.cut_link(NodeId::new(j), NodeId::new(node));
-                                }
-                                if heal_at_period == p {
-                                    f.heal_link(NodeId::new(j), NodeId::new(node));
-                                }
-                            }
-                        }
-                    });
-                }
-                FaultSpec::Flapping {
-                    node,
-                    at_period,
-                    heal_at_period,
-                } => {
-                    if (at_period..heal_at_period).contains(&p) {
-                        isolate(node, (p - at_period) % 2 == 0);
-                    } else if heal_at_period == p {
-                        isolate(node, false);
-                    }
-                }
-                FaultSpec::PartitionChurn {
-                    split_at,
-                    node,
-                    at_period,
-                    kill_at_period,
-                    heal_at_period,
-                } => {
-                    if at_period == p {
-                        let groups = split_groups(n, split_at)
-                            .into_iter()
-                            .map(|g| g.into_iter().collect())
-                            .collect();
-                        net.with_faults(|f| f.partition(groups));
-                    }
-                    if kill_at_period == p {
-                        kill(node);
-                    }
-                    if heal_at_period == p {
-                        // Heal first, then reboot into the healed network —
-                        // the same order the simulator's fault script uses.
-                        net.with_faults(|f| f.heal_partitions());
-                        restart(node);
-                    }
-                }
-                _ => {}
-            }
-            shared.barrier.wait(); // release into tick
-            shared.barrier.wait(); // tick done
-            shared.barrier.wait(); // serve done
-            shared.barrier.wait(); // apply done: channels drained
-            snapshots.push(snapshot_shared(&shared, p));
-        }
-        for t in threads {
-            t.join().map_err(|_| "node thread panicked".to_string())?;
-        }
-
-        let end = snapshot_shared(&shared, scenario.periods);
-        let final_total = end.accounted_live() + end.lost;
+        .run();
         let counted = drop_counters.snapshot();
-        Ok(SubstrateRun {
+        SubstrateRun {
             substrate: "runtime".into(),
-            final_caps: end.nodes.iter().map(|r| r.cap).collect(),
-            final_alive: end.nodes.iter().map(|r| r.alive).collect(),
-            snapshots,
-            final_total,
+            final_caps: run.end.nodes.iter().map(|r| r.cap).collect(),
+            final_alive: run.end.nodes.iter().map(|r| r.alive).collect(),
+            final_total: run.end.accounted_live() + run.end.lost,
+            snapshots: run.snapshots,
             injected_drops: Some(counted.count("msg_dropped") + counted.count("ack_dropped")),
             send_attempts: Some(send_attempts(&counted)),
             // The thread-net delivers in order, exactly once.
             duplicated: None,
             delayed: None,
-        })
-    }
-}
-
-/// One period-boundary consistent cut of the lockstep cluster.
-fn snapshot_shared(shared: &Shared, period: u64) -> Snapshot {
-    // At the period boundary every sent message has been consumed, so the
-    // only in-flight power is what granters hold in escrow for grants that
-    // never reached their requester (undelivered entries). Killed nodes'
-    // engines were retired at the kill, so they report zero.
-    let mut escrowed = Power::ZERO;
-    let nodes = shared
-        .engines
-        .iter()
-        .enumerate()
-        .map(|(i, engine)| {
-            let e = engine.lock().unwrap();
-            escrowed += e.escrowed_undelivered();
-            let pool = e.pool();
-            NodeSnapshot {
-                node: i as u32,
-                alive: shared.alive[i].load(Ordering::SeqCst),
-                cap: Power::from_milliwatts(shared.caps_mw[i].load(Ordering::SeqCst)),
-                pool_available: pool.available(),
-                pool_deposited: pool.total_deposited(),
-                pool_granted: pool.total_granted() + pool.total_taken_local(),
-                pool_drained: pool.total_drained(),
-            }
-        })
-        .collect();
-    Snapshot {
-        period,
-        consistent_cut: true,
-        in_flight: escrowed,
-        lost: Power::from_milliwatts(shared.lost_mw.load(Ordering::SeqCst)),
-        nodes,
-    }
-}
-
-/// The lockstep substrate's side of one engine step for node `idx`: the
-/// thread's RAPL plus the shared cap mirror, the thread-net with
-/// scenario-level loss injected at the sender, and the shared lost
-/// balance.
-///
-/// No escrow timers: this substrate has no timer wheel — the tick phase
-/// starts with an `EngineInput::SweepEscrow`, and one sweep per period
-/// boundary subsumes every per-entry deadline.
-struct LockstepEffects<'a> {
-    idx: usize,
-    now: SimTime,
-    endpoint: &'a penelope_net::ThreadEndpoint<PeerMsg>,
-    drop_rate: f64,
-    /// Per-node loss stream, disjoint from the decider RNG so drop
-    /// injection never perturbs the protocol's draw sequence.
-    drop_rng: TestRng,
-    rapl: SimulatedRapl<WorkloadState>,
-    shared: &'a Shared,
-}
-
-impl Effects for LockstepEffects<'_> {
-    /// Requests, grants and acks all pass through the same random loss,
-    /// so a lossy scenario degrades every protocol edge, exactly like
-    /// the simulator's drop-rate fault. A refused send (dead peer or cut
-    /// link) is a drop too.
-    fn send(&mut self, dst: NodeId, msg: &PeerMsg, _carried: Power, _grant: bool) -> Delivery {
-        if self.drop_rate > 0.0 && self.drop_rng.gen_bool(self.drop_rate) {
-            return Delivery::Dropped;
         }
-        if self.endpoint.send(dst, msg.clone()) {
-            Delivery::Sent
-        } else {
-            Delivery::Dropped
-        }
-    }
-
-    fn actuate(&mut self, cap: Power) {
-        self.rapl.set_cap(cap, self.now);
-        self.shared.caps_mw[self.idx].store(cap.milliwatts(), Ordering::SeqCst);
-    }
-
-    fn power_lost(&mut self, amount: Power) {
-        self.shared
-            .lost_mw
-            .fetch_add(amount.milliwatts(), Ordering::SeqCst);
-    }
-}
-
-/// The per-node thread body: the same [`NodeEngine`] the simulator drives,
-/// phased by barriers instead of an event queue.
-#[allow(clippy::too_many_arguments)]
-fn node_loop(
-    idx: usize,
-    periods: u64,
-    period: SimDuration,
-    endpoint: penelope_net::ThreadEndpoint<PeerMsg>,
-    shared: Arc<Shared>,
-    rapl: SimulatedRapl<WorkloadState>,
-    mut rng: TestRng,
-    drop_rate: f64,
-    drop_rng: TestRng,
-    obs: SharedObserver,
-) {
-    let id = NodeId::new(idx as u32);
-    let period_ns = period.as_nanos().max(1);
-    // Substrate-level emissions; the engine emits its own events through
-    // the same observer. Kinds are tiny `Copy` values, so building one
-    // eagerly costs nothing even with the observer off.
-    let emit = |at: SimTime, kind: EventKind| {
-        obs.emit(|| TraceEvent {
-            at,
-            node: id,
-            period: at.as_nanos() / period_ns,
-            kind,
-        });
-    };
-    let mut fx = LockstepEffects {
-        idx,
-        now: SimTime::ZERO,
-        endpoint: &endpoint,
-        drop_rate,
-        drop_rng,
-        rapl,
-        shared: &shared,
-    };
-    let mut outputs: Vec<EngineOutput> = Vec::new();
-    let mut stashed_grants: Vec<(NodeId, PowerGrant, Option<Box<SuspicionDigest>>)> = Vec::new();
-    let mut was_alive = true;
-    for p in 0..periods {
-        shared.barrier.wait(); // coordinator finished faults/snapshot
-        let now = SimTime::ZERO + period * p;
-        fx.now = now;
-        let me_alive = shared.alive[idx].load(Ordering::SeqCst);
-        if !was_alive && me_alive {
-            // Reborn between periods: the coordinator re-admitted a cap
-            // out of the lost balance. The engine rebuilds controller and
-            // pool state fresh, but continues the sequence namespace
-            // *after* the pre-crash watermark, so peers' escrow entries
-            // keyed by the old (requester, seq) pairs can never collide
-            // with — or be replayed into — the new epoch.
-            let reborn = Power::from_milliwatts(shared.caps_mw[idx].load(Ordering::SeqCst));
-            shared.engines[idx].lock().unwrap().reincarnate(reborn);
-            fx.rapl.set_cap(reborn, now);
-            stashed_grants.clear();
-            was_alive = true;
-            emit(now, EventKind::NodeRestarted { readmitted: reborn });
-        }
-        if was_alive && !me_alive {
-            // Killed between periods: the coordinator's kill leg already
-            // retired cap, pool *and* escrow through `NodeEngine::retire`;
-            // nothing is left thread-side.
-            was_alive = false;
-        }
-
-        // --- Tick phase -------------------------------------------------
-        if me_alive {
-            let mut engine = shared.engines[idx].lock().unwrap();
-            // Reclaim escrowed grants whose ack deadline has passed before
-            // deciding: an Undelivered amount flows back into this node's
-            // own pool (the §3.2 abort path); an AwaitingAck entry expires
-            // without credit — the power is with the requester or died
-            // with it, and re-crediting it would mint.
-            let sweep = EngineInput::SweepEscrow;
-            engine.step(now, sweep, &mut rng, &mut outputs, &mut fx);
-            let reading = fx.rapl.read_power_with(now, &mut rng);
-            let tick = EngineInput::Tick { reading };
-            engine.step(now, tick, &mut rng, &mut outputs, &mut fx);
-        }
-        shared.barrier.wait(); // tick done everywhere: all requests sent
-
-        // --- Serve phase ------------------------------------------------
-        // Drain this node's queue, answering requests from the local pool
-        // (the engine dedups retransmits against its escrow and never
-        // double-debits). Grants from other nodes' serve phases may
-        // interleave into the queue; stash them for the apply phase.
-        {
-            let mut guard = if me_alive {
-                Some(shared.engines[idx].lock().unwrap())
-            } else {
-                None
-            };
-            while let Some(env) = endpoint.try_recv() {
-                let src = env.src;
-                match env.msg {
-                    PeerMsg::Grant(g, digest) => {
-                        emit(
-                            now,
-                            EventKind::MsgRecv {
-                                src,
-                                carried: g.amount,
-                            },
-                        );
-                        stashed_grants.push((src, g, digest));
-                    }
-                    // A dead node's requests and acks evaporate.
-                    msg => {
-                        if let Some(engine) = guard.as_deref_mut() {
-                            emit(
-                                now,
-                                EventKind::MsgRecv {
-                                    src,
-                                    carried: Power::ZERO,
-                                },
-                            );
-                            let input = EngineInput::Msg { src, msg };
-                            engine.step(now, input, &mut rng, &mut outputs, &mut fx);
-                        }
-                    }
-                }
-            }
-        }
-        shared.barrier.wait(); // serve done everywhere: all grants sent
-
-        // --- Apply phase ------------------------------------------------
-        if me_alive {
-            let mut engine = shared.engines[idx].lock().unwrap();
-            while let Some(env) = endpoint.try_recv() {
-                let src = env.src;
-                match env.msg {
-                    PeerMsg::Grant(g, digest) => {
-                        emit(
-                            now,
-                            EventKind::MsgRecv {
-                                src,
-                                carried: g.amount,
-                            },
-                        );
-                        stashed_grants.push((src, g, digest));
-                    }
-                    // Acks race with the apply drain (they are sent from
-                    // other nodes' apply phases); one missed here is
-                    // handled by the next serve phase, well before any
-                    // escrow deadline.
-                    msg @ PeerMsg::Ack(..) => {
-                        emit(
-                            now,
-                            EventKind::MsgRecv {
-                                src,
-                                carried: Power::ZERO,
-                            },
-                        );
-                        let input = EngineInput::Msg { src, msg };
-                        engine.step(now, input, &mut rng, &mut outputs, &mut fx);
-                    }
-                    PeerMsg::Request(_) => {} // all requests drained in serve
-                }
-            }
-            for (src, g, digest) in stashed_grants.drain(..) {
-                // The engine merges piggybacked gossip before booking the
-                // reply, applies the grant, actuates the new cap and acks
-                // non-zero amounts back to the granter.
-                let msg = PeerMsg::Grant(g, digest);
-                engine.step(
-                    now,
-                    EngineInput::Msg { src, msg },
-                    &mut rng,
-                    &mut outputs,
-                    &mut fx,
-                );
-            }
-        }
-        shared.barrier.wait(); // apply done: nothing in flight
     }
 }
 

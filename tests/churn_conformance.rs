@@ -34,7 +34,7 @@ use penelope_sim::{ClusterSim, DiscoveryStrategy, FaultScript};
 use penelope_testkit::conformance::{
     check_run, FaultSpec, PhaseSpec, Scenario, Substrate, WorkloadSpec,
 };
-use penelope_trace::{EventKind, RingBufferObserver, SharedObserver};
+use penelope_trace::{EventKind, RingBufferObserver, SharedObserver, TraceEvent};
 use penelope_units::{NodeId, Power, PowerRange, SimDuration, SimTime};
 
 /// Drop rates (in permille) to sweep, or the single rate pinned by the
@@ -164,6 +164,37 @@ fn churn_sweep_conserves_on_sim_and_lockstep() {
             assert_churn_conserves(&scenario, substrate);
         }
     }
+}
+
+#[test]
+fn sim_and_lockstep_narrate_the_same_kill_and_restart() {
+    // Both deterministic substrates book the churn round-trip alike: one
+    // `NodeKilled` retiring the victim's cap + pool + escrow, one
+    // `NodeRestarted`, and the same retired amount.
+    let scenario = churn_scenario(0x5EED_C4C0, 0, 16);
+    let lifecycle = |events: &[TraceEvent]| {
+        let killed: Vec<Power> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::NodeKilled { lost } => Some(lost),
+                _ => None,
+            })
+            .collect();
+        let restarted = events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::NodeRestarted { .. }))
+            .count();
+        (killed.len(), restarted, killed.into_iter().sum::<Power>())
+    };
+    let sim_ring = Arc::new(RingBufferObserver::unbounded());
+    SimSubstrate::run_observed(&scenario, SharedObserver::from(sim_ring.clone())).expect("sim run");
+    let rt_ring = Arc::new(RingBufferObserver::unbounded());
+    LockstepRuntime::run_observed(&scenario, SharedObserver::from(rt_ring.clone()))
+        .expect("lockstep run");
+    let sim = lifecycle(&sim_ring.events());
+    assert_eq!((sim.0, sim.1), (1, 1), "sim: one kill, one restart");
+    assert!(!sim.2.is_zero(), "the kill retired nothing");
+    assert_eq!(lifecycle(&rt_ring.events()), sim, "lockstep vs sim");
 }
 
 #[test]

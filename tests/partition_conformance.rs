@@ -28,8 +28,9 @@
 //! ablated cluster pays the full `suspect_after × response_timeout`
 //! detection cost per node. A deterministic property test then throws
 //! arbitrary kill/restart/partition/heal interleavings at the simulator
-//! and checks ledger accounting and per-node seq-epoch monotonicity on
-//! every schedule, shrinking any failure to a minimal script.
+//! and the lockstep runtime and checks ledger accounting and per-node
+//! seq-epoch monotonicity on every schedule, shrinking any failure to a
+//! minimal script.
 //!
 //! The swept drop rate can be pinned from the environment for CI matrix
 //! jobs: `PENELOPE_DROP_RATE=0.2 cargo test --test partition_conformance`
@@ -46,6 +47,7 @@ use penelope_sim::{ClusterSim, FaultAction, FaultScript};
 use penelope_testkit::conformance::{
     check_run, FaultSpec, PhaseSpec, Scenario, Substrate, WorkloadSpec,
 };
+use penelope_testkit::events::normalize_protocol;
 use penelope_testkit::prop::{self, vec_of, Gen};
 use penelope_trace::{EventKind, RingBufferObserver, SharedObserver, TraceEvent};
 use penelope_units::{NodeId, Power, PowerRange, SimDuration, SimTime};
@@ -535,15 +537,14 @@ fn gossip_converges_suspicion_faster_than_local_timeouts() {
         }
     }
     // And cluster-wide convergence is strictly slower than the gossip arm.
+    // (Some survivor never suspecting at all is the strongest form of
+    // "slower".)
     let ablated_max = ablated_firsts.iter().flatten().max().copied();
-    match ablated_max {
-        Some(t) => assert!(
+    if let Some(t) = ablated_max {
+        assert!(
             t > max,
             "ablated run converged no later ({t:?}) than the gossip run ({max:?})"
-        ),
-        // Some survivor never suspecting at all is the strongest form of
-        // "slower".
-        None => {}
+        );
     }
 }
 
@@ -595,6 +596,31 @@ fn same_tick_partition_and_kill_order_is_insertion_invariant() {
     for (a, b) in events_a.iter().zip(events_b.iter()) {
         assert_eq!(a, b, "same-tick permutations diverged");
     }
+
+    // The lockstep driver applies scripts through the same chronological
+    // order. Its node threads interleave in the shared ring, so compare
+    // the per-node protocol streams.
+    let run_lockstep = |script: &FaultScript| {
+        let scenario = all_hungry_scenario(0x5EED_9E01, "same-tick", 4, 12, FaultSpec::None);
+        let ring = Arc::new(RingBufferObserver::unbounded());
+        let run =
+            LockstepRuntime::run_script(&scenario, script, SharedObserver::from(ring.clone()));
+        let end = run.snapshots.last().expect("periods ran");
+        (
+            normalize_protocol(&ring.events()),
+            end.accounted_live(),
+            end.lost,
+        )
+    };
+    let (streams_a, live_a, lost_a) = run_lockstep(&kill_first);
+    let (streams_b, live_b, lost_b) = run_lockstep(&partition_first);
+    assert!(!lost_a.is_zero(), "lockstep: the kill retired nothing");
+    assert_eq!(live_a, live_b, "lockstep: same-tick permutations diverged");
+    assert_eq!(lost_a, lost_b, "lockstep: same-tick permutations diverged");
+    assert_eq!(
+        streams_a, streams_b,
+        "lockstep: same-tick permutations diverged"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -642,8 +668,9 @@ fn random_fault_schedules_preserve_zero_sum_and_seq_epochs() {
     // kills, restarts, 2-group splits, heals and directional cuts in any
     // interleaving — including nonsense legs (restarting a live node,
     // cutting a link twice), which must be harmless no-ops. The simulator
-    // asserts conservation internally after every event; on top of that
-    // the end state must balance exactly and no node's request sequence
+    // asserts conservation internally after every event, and the lockstep
+    // runtime is checked at every consistent cut; on top of that the end
+    // state must balance exactly on both and no node's request sequence
     // may ever regress, crashes and rebirths included (the seq-epoch
     // contract that makes stale grants detectable).
     let ops = vec_of((0u64..12, 0u32..6, 0u32..4, 0u32..4), 0..10).prop_map(|raw| {
@@ -681,6 +708,23 @@ fn random_fault_schedules_preserve_zero_sum_and_seq_epochs() {
             }
         }
         sim.install_faults(&faults);
+
+        // The same script on the lockstep driver: the full invariant set
+        // at every consistent cut, and the end state balances exactly.
+        let rt_ring = Arc::new(RingBufferObserver::unbounded());
+        let run =
+            LockstepRuntime::run_script(&scenario, &faults, SharedObserver::from(rt_ring.clone()));
+        let violations = check_run(&scenario, &run);
+        assert!(
+            violations.is_empty(),
+            "lockstep violated invariants under {script:?}: {violations:#?}"
+        );
+        assert_eq!(
+            run.final_total,
+            scenario.cluster_budget(),
+            "lockstep: fault script broke zero-sum: {script:?}"
+        );
+        assert_seqs_never_regress(&rt_ring.events(), scenario.nodes, &script);
         sim.advance_to(at_period(scenario.periods));
 
         // Ledger: live + lost equals the budget at the end (and the
@@ -692,25 +736,27 @@ fn random_fault_schedules_preserve_zero_sum_and_seq_epochs() {
             "fault script broke zero-sum: {script:?}"
         );
 
-        // Seq-epochs: per node, request sequence numbers never
-        // decrease across the whole run (retransmits legitimately
-        // repeat a seq) — a rebirth must continue the namespace,
-        // never rewind it.
-        let events = ring.events();
-        for n in 0..scenario.nodes as u32 {
-            let node = NodeId::new(n);
-            let mut last: Option<u64> = None;
-            for e in events.iter().filter(|e| e.node == node) {
-                if let EventKind::RequestSent { seq, .. } = e.kind {
-                    if let Some(prev) = last {
-                        assert!(
-                            seq >= prev,
-                            "node {n} seq regressed {prev} -> {seq} under {script:?}"
-                        );
-                    }
-                    last = Some(seq);
+        assert_seqs_never_regress(&ring.events(), scenario.nodes, &script);
+    });
+}
+
+/// Seq-epochs: per node, request sequence numbers never decrease across
+/// the whole run (retransmits legitimately repeat a seq) — a rebirth must
+/// continue the namespace, never rewind it.
+fn assert_seqs_never_regress(events: &[TraceEvent], nodes: usize, script: &[(u64, FaultOp)]) {
+    for n in 0..nodes as u32 {
+        let node = NodeId::new(n);
+        let mut last: Option<u64> = None;
+        for e in events.iter().filter(|e| e.node == node) {
+            if let EventKind::RequestSent { seq, .. } = e.kind {
+                if let Some(prev) = last {
+                    assert!(
+                        seq >= prev,
+                        "node {n} seq regressed {prev} -> {seq} under {script:?}"
+                    );
                 }
+                last = Some(seq);
             }
         }
-    });
+    }
 }
