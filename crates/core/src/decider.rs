@@ -1,5 +1,7 @@
 //! The local decider (Algorithm 1).
 
+use std::collections::BTreeMap;
+
 use penelope_trace::{EventKind, NodeClass, SharedObserver, TraceEvent};
 use penelope_units::{NodeId, Power, PowerRange, SimTime};
 
@@ -116,11 +118,14 @@ pub struct DeciderStats {
 
 /// How many recent applied sequence numbers are remembered exactly; grants
 /// older than this window below `next_seq` are rejected wholesale (treated
-/// as already applied), which is what keeps [`LocalDecider`]'s dedup set
-/// O(outstanding) instead of O(lifetime requests). The decider has at most
+/// as already applied), which is what keeps [`LocalDecider`]'s dedup state
+/// one 64-bit mask instead of O(lifetime requests). The decider has at most
 /// one request outstanding and the escrow deadline spans a handful of
 /// periods, so a legitimate late grant is always far younger than this.
 pub const APPLIED_SEQ_WINDOW: u64 = 64;
+
+// The window is exactly the width of the `applied_seqs` bitmask.
+const _: () = assert!(APPLIED_SEQ_WINDOW == u64::BITS as u64);
 
 /// Algorithm 1: the per-node feedback controller.
 ///
@@ -143,32 +148,39 @@ pub struct LocalDecider {
     safe: PowerRange,
     outstanding: Option<Outstanding>,
     next_seq: u64,
-    /// Sequence numbers whose non-zero grant has already been applied.
-    /// A lossy transport can redeliver a grant (the granter re-sends its
-    /// escrowed amount when a retransmitted request arrives); applying it
-    /// twice would mint power, so redeliveries are discarded by `seq`.
-    /// Bounded: seqs below `seq_floor` are rejected without lookup.
-    applied_seqs: std::collections::HashSet<u64>,
+    /// Sequence numbers whose non-zero grant has already been applied,
+    /// as a bitmask anchored at `seq_floor`: bit `i` stands for seq
+    /// `seq_floor + i`. A lossy transport can redeliver a grant (the
+    /// granter re-sends its escrowed amount when a retransmitted request
+    /// arrives); applying it twice would mint power, so redeliveries are
+    /// discarded by `seq`. Seqs below `seq_floor` are rejected without
+    /// lookup, and the floor trails `next_seq` by at most
+    /// [`APPLIED_SEQ_WINDOW`] after every applied grant, so one word
+    /// covers every seq this decider has issued since.
+    applied_seqs: u64,
     /// Grants with `seq < seq_floor` are stale and discarded. Raised in two
     /// ways: a restarted node adopts its pre-crash `next_seq` watermark here
     /// (the seq-epoch rule — stale pre-crash grants and escrow re-sends can
     /// never double-pay the reborn node), and ordinary operation advances it
     /// to `next_seq − APPLIED_SEQ_WINDOW` so `applied_seqs` stays bounded.
     seq_floor: u64,
-    /// Liveness: consecutive timeouts per peer, reset by any reply.
-    timeout_streaks: std::collections::HashMap<NodeId, u32>,
+    /// Liveness: consecutive timeouts per peer, reset by any reply. This
+    /// map and the two below are keyed by ids that come off the wire, so
+    /// they are ordered maps: worst-case logarithmic, and iterated in
+    /// peer-id order.
+    timeout_streaks: BTreeMap<NodeId, u32>,
     /// Suspected peers → when the suspicion was last confirmed (by a
     /// timeout or an adopted gossip entry) and against which incarnation
     /// of the peer it was formed. Entries older than `probe_interval` no
     /// longer filter partner selection (one probe gets through) but stay
     /// until a reply clears them, so `PeerSuspected`/`PeerCleared`
     /// strictly alternate.
-    suspected: std::collections::HashMap<NodeId, Suspicion>,
+    suspected: BTreeMap<NodeId, Suspicion>,
     /// The newest incarnation (seq-epoch floor) observed per peer, learnt
     /// from the digests peers piggyback on grants and acks. Gossiped
     /// suspicions formed against an older incarnation are refuted instead
     /// of adopted, so a rejoined node is never re-shunned by stale gossip.
-    known_incarnations: std::collections::HashMap<NodeId, u64>,
+    known_incarnations: BTreeMap<NodeId, u64>,
     /// Predictive policy only: the EWMA demand forecast, updated once per
     /// executed (non-blocked) iteration. Unused — and never read — under
     /// the other policies.
@@ -202,11 +214,11 @@ impl LocalDecider {
             safe,
             outstanding: None,
             next_seq: 0,
-            applied_seqs: std::collections::HashSet::new(),
+            applied_seqs: 0,
             seq_floor: 0,
-            timeout_streaks: std::collections::HashMap::new(),
-            suspected: std::collections::HashMap::new(),
-            known_incarnations: std::collections::HashMap::new(),
+            timeout_streaks: BTreeMap::new(),
+            suspected: BTreeMap::new(),
+            known_incarnations: BTreeMap::new(),
             forecast: Power::ZERO,
             prev_reading: None,
             stats: DeciderStats::default(),
@@ -291,10 +303,10 @@ impl LocalDecider {
         seq < self.seq_floor
     }
 
-    /// Size of the applied-seq dedup set — bounded by
-    /// [`APPLIED_SEQ_WINDOW`], proven in the memory-boundedness test.
+    /// Number of seqs the applied-seq mask remembers — at most
+    /// [`APPLIED_SEQ_WINDOW`], one per bit.
     pub fn applied_seq_count(&self) -> usize {
-        self.applied_seqs.len()
+        self.applied_seqs.count_ones() as usize
     }
 
     /// Has the non-zero grant for `seq` already been applied? True for
@@ -304,7 +316,19 @@ impl LocalDecider {
     /// [`on_grant`](LocalDecider::on_grant), e.g. to avoid double-reporting
     /// a resolution the first delivery already reported.
     pub fn is_applied_seq(&self, seq: u64) -> bool {
-        seq < self.seq_floor || self.applied_seqs.contains(&seq)
+        seq < self.seq_floor || self.applied_seqs & self.applied_bit(seq) != 0
+    }
+
+    /// The `applied_seqs` bit for `seq` (at or above the floor), or zero
+    /// when `seq` lies beyond the window — a seq this decider has not
+    /// issued yet, which is never marked applied.
+    fn applied_bit(&self, seq: u64) -> u64 {
+        let offset = seq - self.seq_floor;
+        if offset < APPLIED_SEQ_WINDOW {
+            1 << offset
+        } else {
+            0
+        }
     }
 
     /// The predictive policy's current demand forecast ([`Power::ZERO`]
@@ -372,24 +396,24 @@ impl LocalDecider {
 
     /// Build the suspicion digest to piggyback on an outgoing grant or
     /// ack, or `None` when there is nothing worth saying (gossip disabled,
-    /// or no suspicions held and a zero incarnation). Entries are sorted
-    /// by peer id and truncated to the configured bound, so every
-    /// substrate produces the identical digest from identical state.
+    /// or no suspicions held and a zero incarnation). Entries come in
+    /// peer-id order (the suspicion map is ordered) and are truncated to
+    /// the configured bound, so every substrate produces the identical
+    /// digest from identical state.
     pub fn make_digest(&self) -> Option<Box<SuspicionDigest>> {
         let limit = self.cfg.gossip_digest.min(MAX_DIGEST_ENTRIES);
         if limit == 0 || (self.suspected.is_empty() && self.seq_floor == 0) {
             return None;
         }
-        let mut entries: Vec<SuspicionEntry> = self
+        let entries: Vec<SuspicionEntry> = self
             .suspected
             .iter()
+            .take(limit)
             .map(|(&peer, s)| SuspicionEntry {
                 peer,
                 incarnation: s.incarnation,
             })
             .collect();
-        entries.sort_by_key(|e| e.peer);
-        entries.truncate(limit);
         Some(Box::new(SuspicionDigest {
             incarnation: self.seq_floor,
             entries,
@@ -744,17 +768,28 @@ impl LocalDecider {
             self.stats.stale_discards += 1;
             return Power::ZERO;
         }
-        if !amount.is_zero() && !self.applied_seqs.insert(seq) {
-            return Power::ZERO; // duplicate redelivery; already paid
-        }
         if !amount.is_zero() {
-            // Low-watermark prune: everything below the window is rejected
+            if self.applied_seqs & self.applied_bit(seq) != 0 {
+                return Power::ZERO; // duplicate redelivery; already paid
+            }
+            // Low-watermark slide: everything below the window is rejected
             // by the floor check above, so remembering it exactly is
-            // redundant — the set stays O(window), not O(lifetime).
+            // redundant — the mask shifts with the floor and stays one
+            // word, not O(lifetime).
             let floor = self.next_seq.saturating_sub(APPLIED_SEQ_WINDOW);
             if floor > self.seq_floor {
+                let shift = floor - self.seq_floor;
+                self.applied_seqs = if shift < APPLIED_SEQ_WINDOW {
+                    self.applied_seqs >> shift
+                } else {
+                    0
+                };
                 self.seq_floor = floor;
-                self.applied_seqs.retain(|&s| s >= floor);
+            }
+            // A seq the slide just passed is paid by this call and then
+            // rejected by the floor check, exactly like its neighbours.
+            if seq >= self.seq_floor {
+                self.applied_seqs |= self.applied_bit(seq);
             }
         }
         if let Some(out) = self.outstanding {

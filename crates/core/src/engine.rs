@@ -51,6 +51,8 @@
 //! executes nothing. [`NodeEngine::step`] is `handle` plus that loop, run
 //! over the same reusable buffer, so the hot path stays allocation-free.
 
+use std::collections::BTreeMap;
+
 use penelope_trace::{EventKind, SharedObserver, TraceEvent};
 use penelope_units::{NodeId, Power, SimTime};
 
@@ -293,8 +295,10 @@ pub struct NodeEngine {
     /// vanish from the system unaccounted. Requester seqs are strictly
     /// monotone (within a life and across rebirths, via the seq-epoch
     /// floor), so anything at or below this watermark is a duplicate of a
-    /// completed exchange and gets a zero-grant reminder instead.
-    acked_floor: std::collections::HashMap<NodeId, u64>,
+    /// completed exchange and gets a zero-grant reminder instead. The keys
+    /// come off the wire, so the map is ordered: worst-case logarithmic
+    /// whatever ids peers claim.
+    acked_floor: BTreeMap<NodeId, u64>,
     rr_cursor: u32,
     last_success: Option<NodeId>,
     obs: SharedObserver,
@@ -325,7 +329,7 @@ impl NodeEngine {
             decider,
             pool: PowerPool::new(cfg.node.pool),
             escrow: GrantEscrow::new(),
-            acked_floor: std::collections::HashMap::new(),
+            acked_floor: BTreeMap::new(),
             rr_cursor: initial_rr_cursor(id.raw(), cluster_size as u32),
             last_success: None,
             obs_on: observer.enabled(),

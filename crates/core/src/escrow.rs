@@ -18,12 +18,17 @@
 //!   entry is dropped without credit (the power is with the requester or
 //!   died with it — crediting it back would mint).
 //!
-//! The table is generic over the requester key so all three substrates can
-//! share it: the simulator and lockstep runtime key by
-//! [`NodeId`](penelope_units::NodeId), the UDP daemon by peer socket
-//! address.
+//! Every substrate keys the table by the requester's
+//! [`NodeId`](penelope_units::NodeId) (through
+//! [`NodeEngine`](crate::NodeEngine)); the key stays generic so the
+//! table can be exercised on its own.
+//!
+//! The table is a plain vector in insertion (serve) order with linear
+//! lookup. A granter holds only the handful of grants still inside their
+//! escrow window, so a scan of a few entries beats hashing the key, and
+//! the order makes the bulk sweep deterministic: entries that expire
+//! together come back in the order they were served.
 
-use std::collections::HashMap;
 use std::hash::Hash;
 
 use penelope_units::{Power, SimTime};
@@ -57,16 +62,16 @@ pub struct EscrowEntry<K> {
     pub deadline: SimTime,
 }
 
-/// The per-granter table of unacknowledged grants.
+/// The per-granter table of unacknowledged grants, in serve order.
 #[derive(Clone, Debug)]
 pub struct GrantEscrow<K> {
-    entries: HashMap<(K, u64), EscrowEntry<K>>,
+    entries: Vec<EscrowEntry<K>>,
 }
 
 impl<K> Default for GrantEscrow<K> {
     fn default() -> Self {
         GrantEscrow {
-            entries: HashMap::new(),
+            entries: Vec::new(),
         }
     }
 }
@@ -77,8 +82,16 @@ impl<K: Eq + Hash + Copy> GrantEscrow<K> {
         Self::default()
     }
 
-    /// Escrow a freshly served non-zero grant (or update the entry after a
-    /// re-send changed its state or deadline).
+    /// Where the entry for a requester/seq pair sits, if escrowed.
+    fn position(&self, requester: K, seq: u64) -> Option<usize> {
+        self.entries
+            .iter()
+            .position(|e| e.seq == seq && e.requester == requester)
+    }
+
+    /// Escrow a freshly served non-zero grant (or update the entry in
+    /// place, keeping its serve-order slot, after a re-send changed its
+    /// state or deadline).
     pub fn insert(
         &mut self,
         requester: K,
@@ -88,60 +101,59 @@ impl<K: Eq + Hash + Copy> GrantEscrow<K> {
         deadline: SimTime,
     ) {
         debug_assert!(!amount.is_zero(), "zero grants are never escrowed");
-        self.entries.insert(
-            (requester, seq),
-            EscrowEntry {
-                requester,
-                seq,
-                amount,
-                state,
-                deadline,
-            },
-        );
+        let entry = EscrowEntry {
+            requester,
+            seq,
+            amount,
+            state,
+            deadline,
+        };
+        match self.position(requester, seq) {
+            Some(i) => self.entries[i] = entry,
+            None => self.entries.push(entry),
+        }
     }
 
     /// Look up the escrow entry for a requester/seq pair (the dedup check
     /// a granter performs before serving any request).
     pub fn get(&self, requester: K, seq: u64) -> Option<&EscrowEntry<K>> {
-        self.entries.get(&(requester, seq))
+        self.position(requester, seq).map(|i| &self.entries[i])
     }
 
     /// Mutable lookup (re-send paths update `state` and `deadline` in
     /// place).
     pub fn get_mut(&mut self, requester: K, seq: u64) -> Option<&mut EscrowEntry<K>> {
-        self.entries.get_mut(&(requester, seq))
+        self.position(requester, seq).map(|i| &mut self.entries[i])
     }
 
     /// An ack arrived: release and return the entry, if any. Duplicate
     /// acks return `None` and are harmless.
     pub fn release(&mut self, requester: K, seq: u64) -> Option<EscrowEntry<K>> {
-        self.entries.remove(&(requester, seq))
+        self.position(requester, seq)
+            .map(|i| self.entries.remove(i))
     }
 
     /// Remove and return the entry iff its deadline has passed — the
     /// handler for a single scheduled escrow timer. A timer made stale by
     /// a later re-send (which pushed the deadline out) returns `None`.
     pub fn expire_one(&mut self, requester: K, seq: u64, now: SimTime) -> Option<EscrowEntry<K>> {
-        match self.entries.get(&(requester, seq)) {
-            Some(e) if e.deadline <= now => self.entries.remove(&(requester, seq)),
-            _ => None,
-        }
+        let i = self.position(requester, seq)?;
+        (self.entries[i].deadline <= now).then(|| self.entries.remove(i))
     }
 
-    /// Remove and return every entry whose deadline has passed — the bulk
-    /// form for substrates that poll once per period instead of scheduling
-    /// per-entry timers.
+    /// Remove and return every entry whose deadline has passed, in serve
+    /// order — the bulk form for substrates that poll once per period
+    /// instead of scheduling per-entry timers.
     pub fn take_expired(&mut self, now: SimTime) -> Vec<EscrowEntry<K>> {
-        let expired: Vec<(K, u64)> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.deadline <= now)
-            .map(|(k, _)| *k)
-            .collect();
+        let mut expired = Vec::new();
+        self.entries.retain(|e| {
+            let due = e.deadline <= now;
+            if due {
+                expired.push(*e);
+            }
+            !due
+        });
         expired
-            .into_iter()
-            .filter_map(|k| self.entries.remove(&k))
-            .collect()
     }
 
     /// Total escrowed power still carrying accounting weight on the
@@ -149,7 +161,7 @@ impl<K: Eq + Hash + Copy> GrantEscrow<K> {
     /// what conservation audits add to the granter's holdings.
     pub fn undelivered_total(&self) -> Power {
         self.entries
-            .values()
+            .iter()
             .filter(|e| e.state == EscrowState::Undelivered)
             .map(|e| e.amount)
             .sum()
@@ -218,7 +230,8 @@ mod tests {
         e.insert(NodeId::new(0), 2, w(2), EscrowState::AwaitingAck, t(6));
         e.insert(NodeId::new(1), 1, w(4), EscrowState::Undelivered, t(20));
         let due = e.take_expired(t(6));
-        assert_eq!(due.len(), 2);
+        let order: Vec<u64> = due.iter().map(|d| d.seq).collect();
+        assert_eq!(order, [1, 2], "serve order");
         assert_eq!(e.len(), 1);
         assert_eq!(e.undelivered_total(), w(4));
     }

@@ -112,6 +112,13 @@ mod tests {
     }
 
     #[test]
+    fn engines_are_small() {
+        // Scale substrates hold one engine per node (10^5 on the sharded
+        // sim), so the inline footprint is most of their memory per node.
+        assert!(std::mem::size_of::<crate::NodeEngine>() <= 720);
+    }
+
+    #[test]
     fn grant_echoes_sequence() {
         let req = PowerRequest {
             from: NodeId::new(3),

@@ -68,28 +68,37 @@ impl Effects for Recorder {
     }
 }
 
-/// Node 0 of a two-node cluster at 150 W, tracing into `ring`.
-fn engine(ring: &Arc<RingBufferObserver>) -> NodeEngine {
+/// Node 0 of a `nodes`-node cluster at 150 W, tracing into `ring`.
+fn engine_of(nodes: usize, ring: &Arc<RingBufferObserver>) -> NodeEngine {
     NodeEngine::new(
         n(0),
-        2,
+        nodes,
         EngineConfig::new(NodeParams::default()),
         w(150),
         SharedObserver::from(ring.clone()),
     )
 }
 
-fn request_from_1(seq: u64) -> EngineInput {
+/// Node 0 of a two-node cluster at 150 W, tracing into `ring`.
+fn engine(ring: &Arc<RingBufferObserver>) -> NodeEngine {
+    engine_of(2, ring)
+}
+
+fn request_from(src: u32, seq: u64) -> EngineInput {
     EngineInput::Msg {
-        src: n(1),
+        src: n(src),
         msg: PeerMsg::Request(PowerRequest {
-            from: n(1),
+            from: n(src),
             urgent: true,
             alpha: w(25),
             bid: Power::ZERO,
             seq,
         }),
     }
+}
+
+fn request_from_1(seq: u64) -> EngineInput {
+    request_from(1, seq)
 }
 
 /// The transport events (and the escrow event that must follow a grant's)
@@ -282,4 +291,47 @@ fn a_dropped_grant_comes_back_as_an_undelivered_outcome() {
     assert_eq!(stepped.escrow_len(), by_hand.escrow_len());
     assert_eq!(stepped.pool().available(), by_hand.pool().available());
     assert_eq!(fx.timers, [(n(1), 9, at)]);
+}
+
+#[test]
+fn one_sweep_reclaims_co_expiring_grants_in_serve_order() {
+    // Three grants dropped by the transport, then one bulk sweep past
+    // every deadline. The reclaims must come out in serve order — the
+    // same on every fresh engine, whatever the requester ids and seqs.
+    let served = [(3, 40), (1, 7), (2, 12)];
+    let t = SimTime::from_secs(1);
+    let sweep_at = SimTime::from_secs(3_600);
+    for run in 0..8 {
+        let ring = Arc::new(RingBufferObserver::unbounded());
+        let mut e = engine_of(4, &ring);
+        e.pool_mut().deposit(w(300));
+        let mut rng = TestRng::seed_from_u64(run);
+        let mut out = Vec::new();
+        let mut fx = Recorder {
+            script: vec![Delivery::Dropped; served.len()],
+            ..Recorder::default()
+        };
+        for (src, seq) in served {
+            e.step(t, request_from(src, seq), &mut rng, &mut out, &mut fx);
+        }
+        assert_eq!(e.escrow_len(), served.len());
+        e.step(
+            sweep_at,
+            EngineInput::SweepEscrow,
+            &mut rng,
+            &mut out,
+            &mut fx,
+        );
+        let reclaimed: Vec<(NodeId, u64)> = ring
+            .events()
+            .iter()
+            .filter_map(|ev| match ev.kind {
+                EventKind::GrantReclaimed { requester, seq, .. } => Some((requester, seq)),
+                _ => None,
+            })
+            .collect();
+        let expected: Vec<(NodeId, u64)> = served.iter().map(|&(src, seq)| (n(src), seq)).collect();
+        assert_eq!(reclaimed, expected, "run {run}");
+        assert_eq!(e.escrow_len(), 0);
+    }
 }

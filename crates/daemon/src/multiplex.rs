@@ -49,14 +49,14 @@
 //! send batches, and counts anything that still vanishes as `wire_lost`.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
 use penelope_core::{
     Delivery, Effects, EngineConfig, EngineInput, EngineOutput, GrantAck, NodeEngine, NodeParams,
-    PeerMsg, PowerGrant, PowerRequest,
+    PeerMsg, PowerGrant, PowerRequest, APPLIED_SEQ_WINDOW,
 };
 use penelope_net::shim::{DirectionPlan, FaultConfig};
 use penelope_testkit::rng::{node_stream, TestRng};
@@ -321,8 +321,11 @@ struct Host {
     /// Frames queued, parked, in the kernel or under the rx cursor, and
     /// not yet dispatched — every copy counts.
     outstanding: usize,
-    /// Wall-clock send stamp per open request, keyed (requester, seq).
-    pending_rtt: HashMap<(u32, u64), Instant>,
+    /// Wall-clock send stamps of each node's open requests, indexed by
+    /// node: `(seq, stamp)` in issue order. A node has one request
+    /// outstanding at a time, so its list holds that one plus any
+    /// abandoned requests whose grant may still arrive late.
+    rtt_stamps: Vec<Vec<(u64, Instant)>>,
     frames_sent: u64,
     frames_delivered: u64,
     injected_drops: u64,
@@ -426,12 +429,15 @@ impl Effects for MuxEffects<'_> {
     fn send(&mut self, dst: NodeId, msg: &PeerMsg, _carried: Power, _grant: bool) -> Delivery {
         if let PeerMsg::Request(req) = msg {
             // Stamp at queue time so the sample covers the batch wait and
-            // the full kernel round trip. A dropped request still opens
-            // the engine's wait window — its stamp dies unresolved,
-            // exactly like the timeout it causes.
-            self.host
-                .pending_rtt
-                .insert((self.me.raw(), req.seq), Instant::now());
+            // the full kernel round trip; a retransmit restamps its seq.
+            // A dropped request still opens the engine's wait window — its
+            // stamp dies unresolved, exactly like the timeout it causes.
+            let stamps = &mut self.host.rtt_stamps[self.me.index()];
+            let now = Instant::now();
+            match stamps.iter_mut().find(|(seq, _)| *seq == req.seq) {
+                Some(stamp) => stamp.1 = now,
+                None => stamps.push((req.seq, now)),
+            }
         }
         let wire = WireMsg::from_peer(msg, self.me);
         if self.host.send_frame(dst, self.me, &wire) {
@@ -451,10 +457,24 @@ impl Effects for MuxEffects<'_> {
 
     // Escrow is swept in bulk each round: per-entry timers are never armed.
 
-    fn resolved(&mut self, seq: u64, _amount: Power) {
-        if let Some(t0) = self.host.pending_rtt.remove(&(self.me.raw(), seq)) {
-            let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+    fn resolved(&mut self, seq: u64, amount: Power) {
+        let stamps = &mut self.host.rtt_stamps[self.me.index()];
+        let newest = stamps.last().map_or(seq, |&(last, _)| last.max(seq));
+        if let Some(i) = stamps.iter().position(|&(s, _)| s == seq) {
+            let ns = stamps
+                .remove(i)
+                .1
+                .elapsed()
+                .as_nanos()
+                .min(u64::MAX as u128) as u64;
             self.host.rtt_samples_ns.push(ns);
+        }
+        if !amount.is_zero() {
+            // Applying a fresh grant lifts the engine's seq floor to at
+            // least `newest + 1 − APPLIED_SEQ_WINDOW`, and a grant below
+            // the floor never resolves: those stamps are dead.
+            let floor = (newest + 1).saturating_sub(APPLIED_SEQ_WINDOW);
+            stamps.retain(|&(s, _)| s >= floor);
         }
     }
 }
@@ -496,7 +516,7 @@ impl Mux {
             rx_len: 0,
             rx_pos: 0,
             outstanding: 0,
-            pending_rtt: HashMap::new(),
+            rtt_stamps: vec![Vec::new(); cfg.nodes],
             frames_sent: 0,
             frames_delivered: 0,
             injected_drops: 0,

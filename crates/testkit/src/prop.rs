@@ -434,7 +434,7 @@ impl<T: Clone + Debug + PartialEq> Gen for OneOf<T> {
     }
 }
 
-/// See [`Gen::map`].
+/// See [`Gen::prop_map`].
 #[derive(Clone)]
 pub struct Map<G, F> {
     inner: G,
