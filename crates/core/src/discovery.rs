@@ -122,8 +122,11 @@ pub fn choose_peer<R: EngineRng>(
             Some(NodeId::new(p))
         }
         DiscoveryStrategy::GossipHint { explore } => {
+            // The hint comes from whoever last granted; a driver that books
+            // an unknown sender under an out-of-range id must not have it
+            // dialled.
             let hint = last_success
-                .filter(|h| h.index() != idx)
+                .filter(|h| h.index() < n && h.index() != idx)
                 .filter(|h| !(suspicion_active && is_suspected(*h)));
             match hint {
                 Some(h) if !rng.gen_chance(explore.clamp(0.0, 1.0)) => Some(h),

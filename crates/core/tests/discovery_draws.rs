@@ -194,3 +194,34 @@ fn singleton_cluster_has_no_peer() {
         );
     }
 }
+
+/// A hint naming a node outside `0..n` (the daemon books a grant from an
+/// unknown address as `NodeId(u32::MAX)`) is ignored: even with
+/// exploration off, the pick stays inside the cluster and is never self.
+#[test]
+fn gossip_hint_outside_the_cluster_is_ignored() {
+    let n = 5usize;
+    for idx in 0..n {
+        for bad in [n as u32, u32::MAX] {
+            let mut rng = TestRng::seed_from_u64(idx as u64 ^ u64::from(bad));
+            let mut cursor = 0u32;
+            for _ in 0..32 {
+                let picked = choose_peer(
+                    DiscoveryStrategy::GossipHint { explore: 0.0 },
+                    &mut rng,
+                    idx,
+                    n,
+                    &mut cursor,
+                    Some(NodeId::new(bad)),
+                    false,
+                    |_| false,
+                )
+                .expect("n >= 2 always yields a peer");
+                assert!(
+                    picked.index() < n && picked.index() != idx,
+                    "idx={idx} hint={bad} picked {picked:?}"
+                );
+            }
+        }
+    }
+}

@@ -176,6 +176,20 @@ impl DaemonConfig {
         if safe_min > safe_max {
             return Err("--safe-min-watts above --safe-max-watts".into());
         }
+        // A zero period makes the decider loop spin with a zero response
+        // timeout, so no grant is ever waited for.
+        if period_ms == 0 {
+            return Err("--period-ms must be at least 1".into());
+        }
+        // Ids run 0..=peers.len(); a larger id would leave the table slot
+        // of peer `peers.len()` holding this daemon's own address.
+        if node_id as usize > peers.len() {
+            return Err(format!(
+                "--node-id {node_id} outside the cluster: with {} peers ids run 0..={}",
+                peers.len(),
+                peers.len()
+            ));
+        }
         let power = if use_rapl {
             if demand.is_some() {
                 return Err("--rapl and --simulate-demand-watts are mutually exclusive".into());
@@ -358,6 +372,35 @@ mod tests {
         assert!(e.contains("--peers"));
         let e = DaemonConfig::from_args(&args("--listen 0.0.0.0:1 --whatever")).unwrap_err();
         assert!(e.contains("unknown flag"));
+    }
+
+    #[test]
+    fn zero_period_is_rejected() {
+        let e = DaemonConfig::from_args(&args(
+            "--listen 0.0.0.0:1 --peers 1.2.3.4:1 --simulate-demand-watts 1 --period-ms 0",
+        ))
+        .unwrap_err();
+        assert!(e.contains("--period-ms"), "{e}");
+        assert!(DaemonConfig::from_args(&args(
+            "--listen 0.0.0.0:1 --peers 1.2.3.4:1 --simulate-demand-watts 1 --period-ms 1",
+        ))
+        .is_ok());
+    }
+
+    #[test]
+    fn node_id_outside_the_cluster_is_rejected() {
+        // Two peers make a three-node cluster: ids 0, 1 and 2.
+        let line = |id: u32| {
+            args(&format!(
+                "--listen 0.0.0.0:1 --peers 1.2.3.4:1,1.2.3.4:2 --simulate-demand-watts 1 \
+                 --node-id {id}"
+            ))
+        };
+        assert_eq!(DaemonConfig::from_args(&line(2)).unwrap().node_id, 2);
+        for id in [3, u32::MAX] {
+            let e = DaemonConfig::from_args(&line(id)).unwrap_err();
+            assert!(e.contains("--node-id"), "{e}");
+        }
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! | [`failover`] | Extension: §4.4's fallback-coordinator future work |
 //! | [`churn`] | Extension: node crash/rejoin tolerance under churn |
 //! | [`duel`] | Extension: urgency vs predictive vs market decider duel |
-//! | [`scale_mega`] | Extension: sharded scale study at 10^5–10^6 nodes |
 //! | [`service`] | §4.5.2 — server service time and saturation extrapolation |
 //!
 //! Every experiment takes an [`Effort`] knob so the full paper matrix (36
@@ -33,7 +32,6 @@ pub mod nominal;
 pub mod overhead;
 pub mod parallel;
 pub mod scale;
-pub mod scale_mega;
 pub mod scenarios;
 pub mod service;
 

@@ -36,7 +36,7 @@ pub struct RunReport {
     /// Whether the conservation invariant held at every checked point.
     pub conservation_ok: bool,
     /// Discrete events processed by the simulator during the run — the
-    /// numerator of the perf harness's events/sec throughput metric.
+    /// benchmark's `sim.events` counter on `des_scale_1056`.
     pub events: u64,
     /// Cluster-wide cap-oscillation statistics (merged over nodes).
     pub oscillation: OscillationStats,

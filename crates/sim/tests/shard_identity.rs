@@ -56,3 +56,38 @@ fn different_seeds_produce_different_runs() {
     let b = run(512, 2, 1, 1);
     assert_ne!(a.fingerprint, b.fingerprint);
 }
+
+/// Elision levels of the mega scenario. The donor majority (63 of every
+/// 64 nodes) must be elided most of the time, or the sharded engine's
+/// scaling story is broken; the same cells, seeds and shard count the
+/// retired mega sweep ran at its test sizes.
+#[test]
+fn mega_cells_conserve_and_mostly_elide() {
+    const PERIODS: u64 = 250;
+    const SEED: u64 = 0x4d45_4741; // "MEGA"
+    let reports: Vec<(usize, ShardReport)> = [2_048usize, 4_096]
+        .iter()
+        .enumerate()
+        .map(|(i, &n)| {
+            let mut cfg = ShardedConfig::mega(n, PERIODS, SEED ^ ((i as u64) << 32));
+            cfg.shards = 2;
+            (n, ShardedSim::new(cfg).run())
+        })
+        .collect();
+    for (n, r) in &reports {
+        assert!(r.conservation_ok, "n={n} violated power conservation");
+        let slots = *n as u64 * PERIODS;
+        assert!(
+            r.elided_ticks > slots / 2,
+            "n={n}: only {} of {slots} tick slots elided",
+            r.elided_ticks
+        );
+        assert!(r.messages > 0, "n={n}: no protocol traffic");
+        assert!(
+            r.executed_events + r.elided_ticks >= slots,
+            "n={n}: every node ticks every period, executed or elided"
+        );
+    }
+    // Elided ticks scale with the cluster, so the larger cell elides more.
+    assert!(reports[1].1.elided_ticks > reports[0].1.elided_ticks);
+}
